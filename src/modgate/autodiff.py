@@ -13,28 +13,13 @@ A forward pass that produces NaN or Inf from finite inputs raises
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError
 
-_LOCAL = threading.local()
-
-
-def _tape_stack():
-    stack = getattr(_LOCAL, "tapes", None)
-    if stack is None:
-        stack = []
-        _LOCAL.tapes = stack
-    return stack
-
-
-def active_tape():
-    """The innermost active Tape for this thread, or None."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_TAPES = []  # active tapes, innermost last
 
 
 class Record:
@@ -56,11 +41,11 @@ class Tape:
         self.records = []
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         if popped is not self:  # pragma: no cover - misuse guard
             raise ContractError("tape stack corrupted: exited a tape that is not innermost")
         return False
@@ -161,11 +146,10 @@ def _emit(kind, inputs, out_values, ctx=None):
     out.grad = None
     out.requires_grad = any(t.requires_grad for t in inputs)
     out.tape = None
-    if out.requires_grad:
-        tape = active_tape()
-        if tape is not None:
-            out.tape = tape
-            tape.records.append(Record(kind, inputs, out, ctx))
+    if out.requires_grad and _TAPES:
+        tape = _TAPES[-1]
+        out.tape = tape
+        tape.records.append(Record(kind, inputs, out, ctx))
     return out
 
 

@@ -22,7 +22,7 @@ from .errors import ConfigError, DataFormatError, InputError, MismatchError
 from .evaluation import compare, comparison_csv, evaluate_with_audit
 from .model import Model, check_compatible, model_from_checkpoint
 from .policy import EVAL_DETERMINISTIC, EVAL_STOCHASTIC
-from .training import train
+from .training import TrainConfig, train
 
 
 def build_parser():
@@ -31,9 +31,6 @@ def build_parser():
                         help="key = value run configuration file")
     common.add_argument("--seed", type=int, metavar="N",
                         help="seed override (wins over the config file)")
-    threaded = argparse.ArgumentParser(add_help=False)
-    threaded.add_argument("--threads", type=int, default=1, metavar="N",
-                          help="worker threads for per-video evaluation")
 
     parser = argparse.ArgumentParser(
         prog="modgate",
@@ -51,13 +48,13 @@ def build_parser():
     p.add_argument("--out", required=True, metavar="PREFIX",
                    help="writes PREFIX.csv plus .warmup/.alternate/.final checkpoints")
 
-    p = sub.add_parser("eval", parents=[common, threaded],
+    p = sub.add_parser("eval", parents=[common],
                        help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True, metavar="PATH")
     p.add_argument("--data", required=True, metavar="PATH")
     p.add_argument("--out", metavar="PATH", help="also write the metrics as CSV")
 
-    p = sub.add_parser("compare", parents=[common, threaded],
+    p = sub.add_parser("compare", parents=[common],
                        help="train the adaptive model and every baseline side by side")
     p.add_argument("--data", required=True, metavar="PATH", help="training dataset")
     p.add_argument("--eval-data", metavar="PATH",
@@ -77,23 +74,6 @@ def _load_settings(args):
     return build_settings(text, seed_override=args.seed)
 
 
-def _check_dims(modalities, dataset):
-    """Configured view widths must match what the dataset actually holds."""
-    if len(modalities) != dataset.n_modalities:
-        raise MismatchError(
-            f"configuration has {len(modalities)} modalities, "
-            f"dataset has {dataset.n_modalities}"
-        )
-    for k, spec in enumerate(modalities):
-        if (dataset.recog_dims[k] != spec.recog_dim
-                or dataset.policy_dims[k] != spec.policy_dim):
-            raise MismatchError(
-                f"modality {spec.name!r}: config widths "
-                f"({spec.recog_dim}, {spec.policy_dim}) != dataset widths "
-                f"({dataset.recog_dims[k]}, {dataset.policy_dims[k]})"
-            )
-
-
 def _cmd_gen_data(args):
     settings = _load_settings(args)
     data = generate(settings.gen)
@@ -108,10 +88,9 @@ def _cmd_gen_data(args):
 def _cmd_train(args):
     settings = _load_settings(args)
     data = load_dataset(args.data)
-    _check_dims(settings.modalities, data)
+    check_compatible(settings.modalities, data)
     model = Model(settings.modalities, data.n_classes, settings.model,
                   seed=settings.seed)
-    check_compatible(model, data)
     model, report = train(model, data, settings.train, cost=settings.cost,
                           checkpoint_prefix=args.out)
     csv_path = args.out + ".csv"
@@ -141,12 +120,11 @@ def _cmd_eval(args):
         eval_segments = settings.train.eval_segments
     else:
         seed = args.seed if args.seed is not None else 0
-        eval_segments = 10
+        eval_segments = TrainConfig.eval_segments
     model = model_from_checkpoint(args.checkpoint, modalities=modalities)
     data = load_dataset(args.data)
-    check_compatible(model, data)
     report = evaluate_with_audit(model, data, eval_segments=eval_segments,
-                                 mode=mode, seed=seed, threads=args.threads)
+                                 mode=mode, seed=seed)
     for metric, modality, value in report.rows():
         label = f"{metric}[{modality}]" if modality else metric
         print(f"{label} {value:.6f}")
@@ -170,11 +148,10 @@ def _cmd_compare(args):
                              data.policy_dims, data.segments)
         eval_data = Dataset(data.videos[cut:], data.n_classes, data.recog_dims,
                             data.policy_dims, data.segments)
-    _check_dims(settings.modalities, train_data)
-    _check_dims(settings.modalities, eval_data)
+    check_compatible(settings.modalities, train_data)
+    check_compatible(settings.modalities, eval_data, train_data.n_classes)
     named = compare(train_data, eval_data, settings.modalities, settings.train,
-                    model_config=settings.model, cost=settings.cost,
-                    threads=args.threads)
+                    model_config=settings.model, cost=settings.cost)
     for name, report in named:
         sel = " ".join(
             f"{mod}={r:.3f}" for mod, r in zip(report.modality_names,

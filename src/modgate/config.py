@@ -9,12 +9,13 @@ command line: runs without an explicit seed are not reproducible runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 from .datagen import GenSpec
 from .errors import ConfigError
 from .gumbel import TemperatureSchedule
-from .modality import ModalitySpec
+from .modality import ModalitySpec, default_modalities
 from .model import ModelConfig
 from .objective import CostModel
 from .training import TrainConfig
@@ -47,72 +48,56 @@ def _parse_str(raw):
     return raw.strip()
 
 
-# key -> (converter, default).  Defaults mirror the dataclass defaults they
-# feed; they are spelled out here so `default_config_text` can document them.
-SCHEMA = {
-    "seed": (_parse_int, None),
-    # generator
-    "n_classes": (_parse_int, 4),
-    "n_videos": (_parse_int, 200),
-    "segments": (_parse_int, 10),
-    "signal_margin": (_parse_float, 2.0),
-    "noise_sigma": (_parse_float, 0.5),
-    "proxy_corruption": (_parse_float, 0.05),
-    "modality.count": (_parse_int, 2),
-    # model widths and ablations
-    "extractor_hidden": (_parse_int, 64),
-    "feature_width": (_parse_int, 128),
-    "lstm_hidden": (_parse_int, 64),
-    "recog_hidden": (_parse_int, 128),
-    "no_lstm": (_parse_bool, False),
-    "joint_skip": (_parse_bool, False),
-    # training schedule and optimizers
-    "warmup_epochs": (_parse_int, 5),
-    "alternate_epochs": (_parse_int, 20),
-    "finetune_epochs": (_parse_int, 10),
-    "train_segments": (_parse_int, 5),
-    "eval_segments": (_parse_int, 10),
-    "batch_size": (_parse_int, 8),
-    "policy_lr": (_parse_float, 1e-3),
-    "policy_beta1": (_parse_float, 0.9),
-    "policy_beta2": (_parse_float, 0.999),
-    "recog_lr": (_parse_float, 1e-2),
-    "recog_momentum": (_parse_float, 0.9),
-    "recog_weight_decay": (_parse_float, 1e-4),
-    "tau0": (_parse_float, 5.0),
-    "tau_anneal": (_parse_float, 0.965),
-    "tau_min": (_parse_float, 0.05),
-    # objective
-    "gamma": (_parse_float, 10.0),
-    # evaluation
-    "eval_stochastic": (_parse_bool, False),
-}
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, str: _parse_str}
+
+
+def _field_keys(cls, skip=()):
+    """key -> (converter, default) for each scalar field of a config dataclass."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: (_PARSERS[hints[f.name]], f.default)
+        for f in fields(cls)
+        if hints[f.name] in _PARSERS and f.name not in skip
+    }
+
+
+# keys that set the dataclass field of the same name
+_GEN_KEYS = _field_keys(GenSpec, skip=("seed",))
+_MODEL_KEYS = _field_keys(ModelConfig)
+_TRAIN_KEYS = _field_keys(TrainConfig, skip=("seed",))
+_SCHEDULE_KEYS = _field_keys(TemperatureSchedule, skip=("anneal_factor",))
+_COST_KEYS = _field_keys(CostModel, skip=("train_segments",))  # set from TrainConfig
 
 # per-modality overrides: modality.<k>.<field>
-MODALITY_FIELDS = {
-    "name": _parse_str,
-    "recog_dim": _parse_int,
-    "policy_dim": _parse_int,
-    "lam": _parse_float,
-    "recog_cost": _parse_float,
-    "policy_cost": _parse_float,
-    "proxy": _parse_bool,
-    "informative_prob": _parse_float,
-}
+MODALITY_FIELDS = {name: conv for name, (conv, _) in _field_keys(ModalitySpec).items()}
+MODALITY_FIELDS["informative_prob"] = _parse_float
 
 _MODALITY_KEY = re.compile(r"modality\.(\d+)\.([a-z_]+)$")
 
 # the stock two-stream setup; extra modalities start from the generic row
 _MODALITY_DEFAULTS = [
-    dict(name="hi", recog_dim=24, policy_dim=8, lam=0.04,
-         recog_cost=1.0, policy_cost=0.076, proxy=True, informative_prob=0.4),
-    dict(name="lo", recog_dim=16, policy_dim=6, lam=0.018,
-         recog_cost=0.45, policy_cost=0.076, proxy=False, informative_prob=0.6),
+    dict(asdict(spec), informative_prob=p)
+    for spec, p in zip(default_modalities(), GenSpec().informative_probs)
 ]
 _MODALITY_GENERIC = dict(
     name="", recog_dim=16, policy_dim=6, lam=0.02,
-    recog_cost=0.45, policy_cost=0.076, proxy=False, informative_prob=0.5,
+    recog_cost=0.45, policy_cost=0.076, informative_prob=0.5,
 )
+
+# key -> (converter, default)
+SCHEMA = {
+    "seed": (_parse_int, None),
+    **_GEN_KEYS,
+    "modality.count": (_parse_int, len(_MODALITY_DEFAULTS)),
+    **_MODEL_KEYS,
+    **_TRAIN_KEYS,
+    "policy_beta1": (_parse_float, TrainConfig.policy_betas[0]),
+    "policy_beta2": (_parse_float, TrainConfig.policy_betas[1]),
+    **_SCHEDULE_KEYS,
+    "tau_anneal": (_parse_float, TemperatureSchedule.anneal_factor),
+    **_COST_KEYS,
+    "eval_stochastic": (_parse_bool, False),
+}
 
 
 def parse_config(text):
@@ -180,12 +165,12 @@ def build_settings(text="", seed_override=None):
     count = get("modality.count")
     if count < 1:
         raise ConfigError(f"modality.count must be positive, got {count}")
-    fields = []
+    rows = []
     for k in range(count):
         base = dict(_MODALITY_DEFAULTS[k]) if k < len(_MODALITY_DEFAULTS) else dict(
             _MODALITY_GENERIC, name=f"mod{k}"
         )
-        fields.append(base)
+        rows.append(base)
     for key, value in raw.items():
         m = _MODALITY_KEY.match(key)
         if m is None:
@@ -197,55 +182,24 @@ def build_settings(text="", seed_override=None):
             )
         field = m.group(2)
         try:
-            fields[k][field] = MODALITY_FIELDS[field](value)
+            rows[k][field] = MODALITY_FIELDS[field](value)
         except ConfigError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from exc
 
-    informative_probs = [f.pop("informative_prob") for f in fields]
-    modalities = [ModalitySpec(**f) for f in fields]
+    informative_probs = [f.pop("informative_prob") for f in rows]
+    modalities = [ModalitySpec(**f) for f in rows]
 
-    gen = GenSpec(
-        modalities=modalities,
-        informative_probs=informative_probs,
-        n_classes=get("n_classes"),
-        n_videos=get("n_videos"),
-        segments=get("segments"),
-        signal_margin=get("signal_margin"),
-        noise_sigma=get("noise_sigma"),
-        proxy_corruption=get("proxy_corruption"),
-        seed=seed,
-    )
-    model = ModelConfig(
-        extractor_hidden=get("extractor_hidden"),
-        feature_width=get("feature_width"),
-        lstm_hidden=get("lstm_hidden"),
-        recog_hidden=get("recog_hidden"),
-        no_lstm=get("no_lstm"),
-        joint_skip=get("joint_skip"),
-    )
-    schedule = TemperatureSchedule(
-        tau0=get("tau0"), anneal_factor=get("tau_anneal"), tau_min=get("tau_min")
-    )
-    train = TrainConfig(
-        warmup_epochs=get("warmup_epochs"),
-        alternate_epochs=get("alternate_epochs"),
-        finetune_epochs=get("finetune_epochs"),
-        train_segments=get("train_segments"),
-        eval_segments=get("eval_segments"),
-        batch_size=get("batch_size"),
-        policy_lr=get("policy_lr"),
-        policy_betas=(get("policy_beta1"), get("policy_beta2")),
-        recog_lr=get("recog_lr"),
-        recog_momentum=get("recog_momentum"),
-        recog_weight_decay=get("recog_weight_decay"),
-        schedule=schedule,
-        seed=seed,
-    )
-    cost = CostModel(
-        lams=[m.lam for m in modalities],
-        gamma=get("gamma"),
-        train_segments=train.train_segments,
-    )
+    def pick(keys):
+        return {key: get(key) for key in keys}
+
+    gen = GenSpec(modalities=modalities, informative_probs=informative_probs, seed=seed,
+                  **pick(_GEN_KEYS))
+    model = ModelConfig(**pick(_MODEL_KEYS))
+    schedule = TemperatureSchedule(anneal_factor=get("tau_anneal"), **pick(_SCHEDULE_KEYS))
+    train = TrainConfig(policy_betas=(get("policy_beta1"), get("policy_beta2")),
+                        schedule=schedule, seed=seed, **pick(_TRAIN_KEYS))
+    cost = CostModel(lams=[m.lam for m in modalities], train_segments=train.train_segments,
+                     **pick(_COST_KEYS))
     return Settings(
         seed=seed,
         modalities=modalities,

@@ -227,12 +227,9 @@ def save_dataset(dataset, path):
     for video in dataset.videos:
         out += struct.pack("<I", video.label)
         out += np.ascontiguousarray(video.mask, dtype=np.uint8).tobytes()
-        for t in range(dataset.segments):
-            for k in range(dataset.n_modalities):
-                out += video.recog_views[k][t].astype("<f8").tobytes()
-        for t in range(dataset.segments):
-            for k in range(dataset.n_modalities):
-                out += video.policy_views[k][t].astype("<f8").tobytes()
+        # each view group is one (T, sum of widths) row-major block
+        out += np.concatenate(video.recog_views, axis=1, dtype="<f8").tobytes()
+        out += np.concatenate(video.policy_views, axis=1, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(out)
 
@@ -258,9 +255,17 @@ class _Cursor:
     def u32(self, what):
         return struct.unpack("<I", self.take(4, what))[0]
 
-    def f64_array(self, count, what):
-        raw = self.take(8 * count, what)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    def views(self, segments, widths):
+        """One (segments, sum(widths)) float64 block, split into per-view arrays.
+
+        Unchecked: the caller has matched the file length against the header.
+        """
+        total = sum(widths)
+        rows = np.frombuffer(self.data, "<f8", segments * total, self.pos)
+        rows = rows.reshape(segments, total)
+        self.pos += rows.nbytes
+        edges = np.cumsum([0] + widths)
+        return [rows[:, a:b].astype(np.float64, order="C") for a, b in zip(edges, edges[1:])]
 
 
 def load_dataset(path):
@@ -291,6 +296,14 @@ def load_dataset(path):
             raise DataFormatError(f"dataset: zero view width for modality {k} at offset {at}")
         recog_dims.append(rd)
         policy_dims.append(pd)
+    # the header fixes the file length: check it before allocating anything
+    size = predicted_file_size(n_videos, segments, K, recog_dims, policy_dims)
+    if len(data) < size:
+        raise DataFormatError(
+            f"dataset: truncated: file ends at offset {len(data)}, header describes {size} bytes"
+        )
+    if len(data) > size:
+        raise DataFormatError(f"dataset: {len(data) - size} trailing bytes at offset {size}")
 
     videos = []
     for i in range(n_videos):
@@ -305,21 +318,7 @@ def load_dataset(path):
         if np.any(mask_raw > 1):
             raise DataFormatError(f"dataset: video {i} mask byte not 0/1 at offset {at}")
         mask = mask_raw.reshape(segments, K).astype(bool)
-        recog_views = [np.empty((segments, d)) for d in recog_dims]
-        for t in range(segments):
-            for k in range(K):
-                recog_views[k][t] = cur.f64_array(
-                    recog_dims[k], f"video {i} segment {t} recognition view {k}"
-                )
-        policy_views = [np.empty((segments, d)) for d in policy_dims]
-        for t in range(segments):
-            for k in range(K):
-                policy_views[k][t] = cur.f64_array(
-                    policy_dims[k], f"video {i} segment {t} policy view {k}"
-                )
+        recog_views = cur.views(segments, recog_dims)
+        policy_views = cur.views(segments, policy_dims)
         videos.append(VideoExample(recog_views, policy_views, int(label), mask))
-    if cur.pos != len(data):
-        raise DataFormatError(
-            f"dataset: {len(data) - cur.pos} trailing bytes at offset {cur.pos}"
-        )
     return Dataset(videos, int(n_classes), recog_dims, policy_dims, int(segments))

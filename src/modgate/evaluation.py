@@ -8,17 +8,16 @@ one report.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .datagen import subsample
 from .errors import ConfigError, InputError
-from .model import Model, check_compatible, forward_video
+from .model import Model, ModelConfig, check_compatible, forward_video
 from .objective import simulated_compute
 from .policy import EVAL_DETERMINISTIC, EVAL_STOCHASTIC, TRAIN_STOCHASTIC, ROLLOUT_MODES
-from .training import train, train_forced
+from .training import all_on, train, train_forced
 
 
 @dataclass
@@ -36,6 +35,8 @@ class EvalReport:
     precision: list | None = None
     recall: list | None = None
     f1: list | None = None
+    # per-video (T, K) hard decisions in dataset order: what the report describes
+    decisions: list = field(default_factory=list, repr=False, compare=False)
 
     def rows(self):
         out = [("top1", "", self.top1)]
@@ -76,24 +77,23 @@ def uniform_segment_indices(total, wanted):
 
 
 def evaluate(model, dataset, eval_segments=10, mode=EVAL_DETERMINISTIC, seed=0,
-             threads=1, forced_gates=None):
+             forced_gates=None):
     """Aggregate accuracy, selection rates, and compute over a dataset.
 
     ``forced_gates`` replaces the policy with a callable ``(shape, rng) -> U``
     evaluated per video (baseline schedules); the per-video generator is
-    derived from ``seed`` so stochastic baselines are reproducible.  With
-    ``threads > 1`` videos are evaluated concurrently; results are reduced in
-    video order, so reports are identical either way.
+    derived from ``seed`` so stochastic baselines are reproducible.
     """
     if mode not in ROLLOUT_MODES or mode == TRAIN_STOCHASTIC:
         raise ConfigError(f"unsupported evaluation mode {mode!r}")
-    check_compatible(model, dataset)
+    check_compatible(model.modalities, dataset, model.n_classes)
     if not dataset.videos:
         raise InputError("cannot evaluate on an empty dataset")
     K = len(model.modalities)
-
-    def run_one(item):
-        i, video = item
+    executed_before = model.recog.executions
+    n_correct = 0
+    decisions = []
+    for i, video in enumerate(dataset.videos):
         clip = subsample(video, uniform_segment_indices(video.n_segments, eval_segments))
         rng = np.random.default_rng([seed, 4000, i])
         if forced_gates is not None:
@@ -102,28 +102,18 @@ def evaluate(model, dataset, eval_segments=10, mode=EVAL_DETERMINISTIC, seed=0,
             fw = forward_video(model, clip, mode=mode, rng=rng)
         else:
             fw = forward_video(model, clip, mode=mode)
-        correct = int(np.argmax(fw.prediction.values) == video.label)
-        return correct, fw.decisions.U.copy(), clip.n_segments
-
-    items = list(enumerate(dataset.videos))
-    executed_before = model.recog.executions
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, items))
-    else:
-        results = [run_one(item) for item in items]
+        n_correct += int(np.argmax(fw.prediction.values) == video.label)
+        decisions.append(fw.decisions.U)
     executions = model.recog.executions - executed_before
 
-    n_correct = 0
     selected = np.zeros(K)
     slots = 0
     compute_sum = 0.0
-    for correct, U, n_segments in results:
-        n_correct += correct
+    for U in decisions:
         selected += U.sum(axis=0)
-        slots += n_segments
+        slots += U.shape[0]
         compute_sum += simulated_compute(U, model.modalities)
-    n = len(items)
+    n = len(decisions)
     return EvalReport(
         top1=n_correct / n,
         selection_rates=list(selected / slots),
@@ -133,33 +123,27 @@ def evaluate(model, dataset, eval_segments=10, mode=EVAL_DETERMINISTIC, seed=0,
         eval_segments=min(eval_segments, dataset.segments),
         executions=executions,
         modality_names=[m.name for m in model.modalities],
+        decisions=decisions,
     )
 
 
-def audit_policy(model, dataset, eval_segments=10):
-    """Precision/recall/F1 of the deterministic policy against planted masks.
+def _mask_scores(decisions, dataset, eval_segments):
+    """Per-modality precision/recall/F1 of per-video decisions against planted masks.
 
-    Every (video, segment, modality) slot counts once; a modality the policy
-    never selects gets precision 0 by convention (not NaN), and likewise for
-    recall when the mask never marks it.
+    Every (video, segment, modality) slot counts once; a modality never
+    selected gets precision 0 by convention (not NaN), and likewise for recall
+    when the mask never marks it.
     """
-    check_compatible(model, dataset)
-    if not dataset.videos:
-        raise InputError("cannot audit on an empty dataset")
-    K = len(model.modalities)
-    tp = np.zeros(K)
-    fp = np.zeros(K)
-    fn = np.zeros(K)
+    truth = []
     for video in dataset.videos:
         if video.mask is None:
             raise InputError("policy audit needs generated data with planted masks")
-        clip = subsample(video, uniform_segment_indices(video.n_segments, eval_segments))
-        fw = forward_video(model, clip)
-        picked = fw.decisions.U.astype(bool)
-        truth = video.mask[uniform_segment_indices(video.n_segments, eval_segments)]
-        tp += (picked & truth).sum(axis=0)
-        fp += (picked & ~truth).sum(axis=0)
-        fn += (~picked & truth).sum(axis=0)
+        truth.append(video.mask[uniform_segment_indices(video.n_segments, eval_segments)])
+    picked = np.concatenate(decisions).astype(bool)
+    truth = np.concatenate(truth)
+    tp = (picked & truth).sum(axis=0)
+    fp = (picked & ~truth).sum(axis=0)
+    fn = (~picked & truth).sum(axis=0)
     precision = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
     recall = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
     both = precision + recall
@@ -167,24 +151,31 @@ def audit_policy(model, dataset, eval_segments=10):
     return list(precision), list(recall), list(f1)
 
 
-def evaluate_with_audit(model, dataset, eval_segments=10, mode=EVAL_DETERMINISTIC,
-                        seed=0, threads=1):
-    """evaluate() plus the mask audit when the dataset carries masks."""
-    report = evaluate(
-        model, dataset, eval_segments=eval_segments, mode=mode, seed=seed, threads=threads
-    )
+def audit_policy(model, dataset, eval_segments=10):
+    """Precision/recall/F1 of the deterministic policy against planted masks."""
+    check_compatible(model.modalities, dataset, model.n_classes)
+    if not dataset.videos:
+        raise InputError("cannot audit on an empty dataset")
+    decisions = [
+        forward_video(
+            model, subsample(video, uniform_segment_indices(video.n_segments, eval_segments))
+        ).decisions.U
+        for video in dataset.videos
+    ]
+    return _mask_scores(decisions, dataset, eval_segments)
+
+
+def evaluate_with_audit(model, dataset, eval_segments=10, mode=EVAL_DETERMINISTIC, seed=0):
+    """evaluate() plus, when the dataset carries masks, the audit of its decisions."""
+    report = evaluate(model, dataset, eval_segments=eval_segments, mode=mode, seed=seed)
     if all(v.mask is not None for v in dataset.videos):
-        report.precision, report.recall, report.f1 = audit_policy(
-            model, dataset, eval_segments=eval_segments
+        report.precision, report.recall, report.f1 = _mask_scores(
+            report.decisions, dataset, eval_segments
         )
     return report
 
 
 BASELINE_KINDS = ("weighted-fusion", "random-policy", "joint-skip-policy")
-
-
-def _all_on(shape, rng):
-    return np.ones(shape, dtype=np.int8)
 
 
 def _coin_flip(shape, rng):
@@ -200,8 +191,11 @@ def _column_only(k):
     return gates
 
 
+_FORCED_GATES = {"weighted-fusion": all_on, "random-policy": _coin_flip}
+
+
 def run_baseline(kind, train_data, eval_data, modalities, cfg, model_config=None,
-                 cost=None, threads=1):
+                 cost=None):
     """Train and evaluate one reference schedule; returns (model, EvalReport).
 
     ``unimodal-<k>`` trains sub-network k alone, ``weighted-fusion`` keeps
@@ -211,57 +205,30 @@ def run_baseline(kind, train_data, eval_data, modalities, cfg, model_config=None
     All schedules get the same epoch budget as the adaptive method.
     """
     n_classes = train_data.n_classes
+    if kind == "joint-skip-policy":
+        joint = replace(model_config or ModelConfig(), joint_skip=True)
+        model = Model(modalities, n_classes, joint, seed=cfg.seed)
+        train(model, train_data, cfg, cost=cost)
+        return model, evaluate(model, eval_data, eval_segments=cfg.eval_segments, seed=cfg.seed)
     if kind.startswith("unimodal-"):
         k = int(kind.split("-", 1)[1])
         if not 0 <= k < len(modalities):
             raise ConfigError(f"unimodal baseline index {k} out of range")
-        model = Model(modalities, n_classes, model_config, seed=cfg.seed)
-        train_forced(model, train_data, cfg, _column_only(k))
-        report = evaluate(
-            model, eval_data, eval_segments=cfg.eval_segments,
-            forced_gates=_column_only(k), seed=cfg.seed, threads=threads,
-        )
-        return model, report
-    if kind == "weighted-fusion":
-        model = Model(modalities, n_classes, model_config, seed=cfg.seed)
-        train_forced(model, train_data, cfg, _all_on)
-        report = evaluate(
-            model, eval_data, eval_segments=cfg.eval_segments,
-            forced_gates=_all_on, seed=cfg.seed, threads=threads,
-        )
-        return model, report
-    if kind == "random-policy":
-        model = Model(modalities, n_classes, model_config, seed=cfg.seed)
-        train_forced(model, train_data, cfg, _coin_flip)
-        report = evaluate(
-            model, eval_data, eval_segments=cfg.eval_segments,
-            forced_gates=_coin_flip, seed=cfg.seed, threads=threads,
-        )
-        return model, report
-    if kind == "joint-skip-policy":
-        from .model import ModelConfig
-
-        base = model_config or ModelConfig()
-        joint = ModelConfig(
-            extractor_hidden=base.extractor_hidden,
-            feature_width=base.feature_width,
-            lstm_hidden=base.lstm_hidden,
-            recog_hidden=base.recog_hidden,
-            no_lstm=base.no_lstm,
-            joint_skip=True,
-        )
-        model = Model(modalities, n_classes, joint, seed=cfg.seed)
-        train(model, train_data, cfg, cost=cost)
-        report = evaluate(
-            model, eval_data, eval_segments=cfg.eval_segments, seed=cfg.seed,
-            threads=threads,
-        )
-        return model, report
-    raise ConfigError(f"unknown baseline kind {kind!r}")
+        gates = _column_only(k)
+    elif kind in _FORCED_GATES:
+        gates = _FORCED_GATES[kind]
+    else:
+        raise ConfigError(f"unknown baseline kind {kind!r}")
+    model = Model(modalities, n_classes, model_config, seed=cfg.seed)
+    train_forced(model, train_data, cfg, gates)
+    report = evaluate(
+        model, eval_data, eval_segments=cfg.eval_segments, forced_gates=gates, seed=cfg.seed
+    )
+    return model, report
 
 
 def compare(train_data, eval_data, modalities, cfg, model_config=None, cost=None,
-            eval_mode=EVAL_DETERMINISTIC, threads=1):
+            eval_mode=EVAL_DETERMINISTIC):
     """The adaptive method against its reference schedules, one report each.
 
     Returns a list of (name, EvalReport): adaptive first, then weighted
@@ -272,16 +239,16 @@ def compare(train_data, eval_data, modalities, cfg, model_config=None, cost=None
     named = [(
         "adaptive",
         evaluate(adaptive, eval_data, eval_segments=cfg.eval_segments,
-                 mode=eval_mode, seed=cfg.seed, threads=threads),
+                 mode=eval_mode, seed=cfg.seed),
     )]
     _, wf = run_baseline("weighted-fusion", train_data, eval_data, modalities, cfg,
-                         model_config=model_config, threads=threads)
+                         model_config=model_config)
     named.append(("weighted-fusion", wf))
     for k, spec in enumerate(modalities):
         _, uni = run_baseline(f"unimodal-{k}", train_data, eval_data, modalities, cfg,
-                              model_config=model_config, threads=threads)
+                              model_config=model_config)
         named.append((f"unimodal-{spec.name}", uni))
     _, rnd = run_baseline("random-policy", train_data, eval_data, modalities, cfg,
-                          model_config=model_config, threads=threads)
+                          model_config=model_config)
     named.append(("random-policy", rnd))
     return named

@@ -14,9 +14,7 @@ class ModalitySpec:
     ``recog_dim`` is the width of the full recognition view, ``policy_dim``
     the width of the cheap view the selection policy sees.  ``recog_cost``
     and ``policy_cost`` are simulated compute units per segment.  ``lam``
-    weights this modality's usage penalty in the training objective.  A
-    ``proxy`` modality's policy view stands in for an expensive stream that
-    is only materialized (and billed) when actually selected.
+    weights this modality's usage penalty in the training objective.
     """
 
     name: str
@@ -25,7 +23,6 @@ class ModalitySpec:
     lam: float = 1.0
     recog_cost: float = 1.0
     policy_cost: float = 0.076
-    proxy: bool = False
 
     def __post_init__(self):
         if self.recog_dim < 1 or self.policy_dim < 1:
@@ -49,16 +46,13 @@ class ModalitySpec:
 def default_modalities():
     """The stock two-stream setup: an expensive stream and a cheap one.
 
-    The expensive stream is marked as a proxy: its policy view is a stand-in
-    computed from a cheap correlate, so the full stream is only ever touched
-    (and billed) when the policy selects it.  The cost ratio 20:9 mirrors the
-    relative per-segment load of the two streams; the lam defaults keep the
-    usage penalty in the same ratio, small enough that dropping a genuinely
-    useful cell is never worth the saving.
+    The cost ratio 20:9 mirrors the relative per-segment load of the two
+    streams; the lam defaults keep the usage penalty in the same ratio, small
+    enough that dropping a genuinely useful cell is never worth the saving.
     """
     return [
         ModalitySpec("hi", recog_dim=24, policy_dim=8, lam=0.04,
-                     recog_cost=1.0, policy_cost=0.076, proxy=True),
+                     recog_cost=1.0, policy_cost=0.076),
         ModalitySpec("lo", recog_dim=16, policy_dim=6, lam=0.018,
-                     recog_cost=0.45, policy_cost=0.076, proxy=False),
+                     recog_cost=0.45, policy_cost=0.076),
     ]

@@ -9,15 +9,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, ContractError, MismatchError
+from .errors import ContractError, MismatchError
 from .modality import ModalitySpec
-from .policy import (
-    EVAL_DETERMINISTIC,
-    TRAIN_STOCHASTIC,
-    DecisionMatrix,
-    PolicyNet,
-    forced_decisions,
-)
+from .policy import EVAL_DETERMINISTIC, DecisionMatrix, PolicyNet, forced_decisions
 from .recognition import RecognitionNet
 
 
@@ -122,7 +116,7 @@ def infer_architecture(state):
     config = ModelConfig(
         extractor_hidden=state["policy.extractor.mod0.W"].shape[0],
         feature_width=state["policy.extractor.fc1.W"].shape[0],
-        lstm_hidden=state["policy.lstm.Wh"].shape[1] if not no_lstm else 64,
+        lstm_hidden=ModelConfig.lstm_hidden if no_lstm else state["policy.lstm.Wh"].shape[1],
         recog_hidden=state["recog.sub0.W1"].shape[0],
         no_lstm=no_lstm,
         joint_skip=len(head_ids) == 1 and K > 1,
@@ -134,7 +128,8 @@ def model_from_checkpoint(path, modalities=None):
     """Build a model shaped like the checkpoint and load its weights.
 
     When ``modalities`` is given (for cost accounting), its view widths must
-    agree with the checkpoint.
+    agree with the checkpoint: ``load_state`` rejects any parameter whose
+    shape differs.
     """
     state = load_checkpoint(path)
     K, recog_dims, policy_dims, n_classes, config = infer_architecture(state)
@@ -143,40 +138,26 @@ def model_from_checkpoint(path, modalities=None):
             ModalitySpec(f"mod{k}", recog_dim=recog_dims[k], policy_dim=policy_dims[k])
             for k in range(K)
         ]
-    else:
-        if len(modalities) != K:
-            raise MismatchError(
-                f"configuration has {len(modalities)} modalities, checkpoint has {K}"
-            )
-        for k, spec in enumerate(modalities):
-            if spec.recog_dim != recog_dims[k] or spec.policy_dim != policy_dims[k]:
-                raise MismatchError(
-                    f"modality {spec.name!r}: config widths "
-                    f"({spec.recog_dim}, {spec.policy_dim}) != checkpoint widths "
-                    f"({recog_dims[k]}, {policy_dims[k]})"
-                )
     model = Model(modalities, n_classes, config)
     model.load_state(state)
     return model
 
 
-def check_compatible(model, dataset):
-    """Model and dataset must agree on modality count, widths, and classes."""
-    if dataset.n_modalities != len(model.modalities):
+def check_compatible(modalities, dataset, n_classes=None):
+    """The dataset must hold these modalities' view widths (and ``n_classes``)."""
+    if dataset.n_modalities != len(modalities):
         raise MismatchError(
-            f"dataset has {dataset.n_modalities} modalities, model has {len(model.modalities)}"
+            f"dataset has {dataset.n_modalities} modalities, expected {len(modalities)}"
         )
-    for k, spec in enumerate(model.modalities):
+    for k, spec in enumerate(modalities):
         if dataset.recog_dims[k] != spec.recog_dim or dataset.policy_dims[k] != spec.policy_dim:
             raise MismatchError(
-                f"modality {k}: dataset widths ({dataset.recog_dims[k]}, "
-                f"{dataset.policy_dims[k]}) != model widths "
+                f"modality {k} ({spec.name!r}): dataset widths ({dataset.recog_dims[k]}, "
+                f"{dataset.policy_dims[k]}) != expected widths "
                 f"({spec.recog_dim}, {spec.policy_dim})"
             )
-    if dataset.n_classes != model.n_classes:
-        raise MismatchError(
-            f"dataset has {dataset.n_classes} classes, model has {model.n_classes}"
-        )
+    if n_classes is not None and dataset.n_classes != n_classes:
+        raise MismatchError(f"dataset has {dataset.n_classes} classes, expected {n_classes}")
 
 
 def forward_video(model, video, mode=EVAL_DETERMINISTIC, tau=1.0, rng=None, noise=None,

@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
+from .modality import default_modalities
 
 _LOG_FLOOR = 1e-12
 
@@ -26,7 +27,7 @@ _LOG_FLOOR = 1e-12
 class CostModel:
     """Penalty weights and the segment budget C used as the fraction denominator."""
 
-    lams: list = field(default_factory=lambda: [0.04, 0.018])
+    lams: list = field(default_factory=lambda: [m.lam for m in default_modalities()])
     gamma: float = 10.0
     train_segments: int = 5
 

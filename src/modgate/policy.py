@@ -40,15 +40,13 @@ class DecisionMatrix:
     ``U`` holds the hard 0/1 decisions, ``P`` the relaxed probability rows
     that produced them, and ``logits`` the raw head scores.  ``carriers``
     (training only) are the straight-through tensors whose select component
-    gates the recognition path; ``logit_tensors`` retain the graph nodes for
-    the head outputs so gradient flow can be inspected.
+    gates the recognition path.
     """
 
     U: np.ndarray  # (T, K) int8
     P: np.ndarray  # (T, K, 2)
     logits: np.ndarray  # (T, K, 2)
     carriers: list | None = None  # [t][k] -> Tensor(2,)
-    logit_tensors: list | None = None  # [t][k] -> Tensor(2,)
 
     @property
     def n_segments(self):
@@ -217,7 +215,6 @@ class PolicyNet:
         P = np.zeros((T, K, 2))
         Z = np.zeros((T, K, 2))
         carriers = [[None] * K for _ in range(T)] if train else None
-        logit_tensors = [[None] * K for _ in range(T)]
 
         state = self.initial_state()
         for t in range(T):
@@ -259,7 +256,6 @@ class PolicyNet:
                     U[t, k] = u
                     P[t, k] = p_row
                     Z[t, k] = z.values
-                    logit_tensors[t][k] = z
                     if train:
                         carriers[t][k] = carrier
-        return DecisionMatrix(U=U, P=P, logits=Z, carriers=carriers, logit_tensors=logit_tensors)
+        return DecisionMatrix(U=U, P=P, logits=Z, carriers=carriers)

@@ -9,7 +9,6 @@ were actually computed.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,6 @@ class RecognitionNet:
         self.n_classes = int(n_classes)
         self.n_hidden = int(n_hidden)
         self.executions = 0
-        self._exec_lock = threading.Lock()
 
         self.params = {}
 
@@ -63,8 +61,7 @@ class RecognitionNet:
         return dict(self.params)
 
     def reset_executions(self):
-        with self._exec_lock:
-            self.executions = 0
+        self.executions = 0
 
     def subnetwork_forward(self, k, x):
         """Class logits for one modality's segment view; counts as one execution."""
@@ -77,8 +74,7 @@ class RecognitionNet:
         logits = ad.add(
             ad.matmul(self.params[f"recog.sub{k}.W2"], hidden), self.params[f"recog.sub{k}.b2"]
         )
-        with self._exec_lock:
-            self.executions += 1
+        self.executions += 1
         return logits
 
     def fusion_coefficients(self, selected):

@@ -158,7 +158,8 @@ def default_cost(model, cfg):
     )
 
 
-def _all_on(shape, rng):
+def all_on(shape, rng):
+    """Gates that keep every cell on (warm-up and weighted fusion)."""
     return np.ones(shape, dtype=np.int8)
 
 
@@ -237,7 +238,7 @@ def warmup(model, data, cfg, opt=None, rows=None, epoch_offset=0):
         row = _run_epoch(
             model, videos, cfg, None, epoch_offset + e, "warmup", cfg.schedule.tau0,
             opt, model.recog_parameters(), stochastic=False, policy_loss=False,
-            forced=_all_on,
+            forced=all_on,
         )
         if rows is not None:
             rows.append(row)

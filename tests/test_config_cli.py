@@ -1,5 +1,7 @@
 """Config parsing and the command-line surface, including every exit code."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,12 @@ from modgate import autodiff as ad
 from modgate.checkpoint import CHECKPOINT_MAGIC
 from modgate.cli import main
 from modgate.config import build_settings, default_config_text, parse_config
-from modgate.datagen import DATASET_MAGIC, load_dataset
+from modgate.datagen import DATASET_MAGIC, GenSpec, load_dataset
 from modgate.errors import ConfigError
+from modgate.modality import default_modalities
+from modgate.model import ModelConfig
+from modgate.objective import CostModel
+from modgate.training import TrainConfig
 
 QUICK = "warmup_epochs = 1\nalternate_epochs = 2\nfinetune_epochs = 1\nn_videos = 45\n"
 
@@ -90,6 +96,18 @@ class TestConfigText:
         assert s.gen == base.gen
         assert s.train == base.train
         assert s.cost.lams == base.cost.lams
+        assert s.model == base.model
+        assert s.cost == base.cost
+        assert s.cost.gamma == base.cost.gamma
+        assert s.eval_stochastic == base.eval_stochastic
+        assert s.modalities == base.modalities
+        # and every default is the dataclass default
+        assert base.gen == GenSpec(seed=6)
+        assert base.model == ModelConfig()
+        assert base.train == TrainConfig(seed=6)
+        assert base.cost == CostModel()
+        assert base.modalities == default_modalities()
+        assert base.eval_stochastic is False
 
 
 class TestCliGenData:
@@ -174,6 +192,17 @@ class TestCliTrain:
         clipped = tmp_path / "clipped.bin"
         clipped.write_bytes(data.read_bytes()[:100])
         assert main(["train", "--config", str(cfg), "--data", str(clipped),
+                     "--out", str(tmp_path / "x")]) == 3
+
+    def test_header_wider_than_file_is_format_error(self, cli_workspace, tmp_path):
+        # 44 bytes whose header declares one view 2**32 - 1 floats wide
+        root, cfg, data, prefix = cli_workspace
+        blob = DATASET_MAGIC + struct.pack("<5I", 1, 1, 1, 1, 2)
+        blob += struct.pack("<2I", 2**32 - 1, 1)
+        blob += bytes(44 - len(blob))
+        bad = tmp_path / "wide.bin"
+        bad.write_bytes(blob)
+        assert main(["train", "--config", str(cfg), "--data", str(bad),
                      "--out", str(tmp_path / "x")]) == 3
 
     def test_config_width_mismatch(self, cli_workspace, tmp_path):

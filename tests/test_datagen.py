@@ -1,5 +1,7 @@
 """Tests for the synthetic generator and the binary dataset/checkpoint formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,22 @@ class TestDatasetFormat:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(DataFormatError, match="trailing"):
             load_dataset(path)
+
+    def test_header_checked_against_file_length(self, tmp_path):
+        path = tmp_path / "d.bin"
+        blob = DATASET_MAGIC + struct.pack("<5I", 1, 1, 1, 1, 2)
+        blob += struct.pack("<2I", 2**32 - 1, 1)
+        path.write_bytes(blob + bytes(9))
+        with pytest.raises(DataFormatError, match="offset 44"):
+            load_dataset(path)
+
+    def test_loaded_views_are_separate_writable_arrays(self, tmp_path):
+        path = tmp_path / "d.bin"
+        save_dataset(generate(small_spec(n_videos=2)), path)
+        for video in load_dataset(path).videos:
+            for view in video.recog_views + video.policy_views:
+                assert view.flags.c_contiguous and view.flags.writeable
+                assert view.dtype == np.float64
 
     def test_corrupt_mask_byte_rejected(self, tmp_path):
         data = generate(small_spec(n_videos=1))

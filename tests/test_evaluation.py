@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SEEDS, bundle_for, split_world
-from modgate.datagen import Dataset, GenSpec, generate
+from modgate.datagen import Dataset, GenSpec, generate, subsample
 from modgate.errors import ConfigError, InputError
 from modgate.evaluation import (
     audit_policy,
@@ -15,6 +15,7 @@ from modgate.evaluation import (
     run_baseline,
     uniform_segment_indices,
 )
+from modgate.model import forward_video
 from modgate.objective import full_compute
 from modgate.policy import EVAL_STOCHASTIC, TRAIN_STOCHASTIC
 from modgate.training import TrainConfig
@@ -106,12 +107,6 @@ class TestEvaluateMechanics:
         b = evaluate(small_bundle.model, small_bundle.eval_data, seed=3).to_csv()
         assert a == b
 
-    def test_threads_do_not_change_the_report(self, small_bundle):
-        serial = evaluate(small_bundle.model, small_bundle.eval_data, seed=3).to_csv()
-        threaded = evaluate(small_bundle.model, small_bundle.eval_data, seed=3,
-                            threads=4).to_csv()
-        assert serial == threaded
-
     def test_stochastic_mode_is_seed_reproducible(self, small_bundle):
         a = evaluate(small_bundle.model, small_bundle.eval_data, seed=7,
                      mode=EVAL_STOCHASTIC).to_csv()
@@ -172,6 +167,38 @@ class TestAudit:
         for p, r, f in zip(precision, recall, f1):
             expected = 0.0 if p + r == 0 else 2 * p * r / (p + r)
             assert f == pytest.approx(expected, rel=1e-12)
+
+    def test_stochastic_audit_scores_the_reported_decisions(self, small_bundle):
+        """Under sampled gates the audit describes the decisions the report counts."""
+        model, data = small_bundle.model, small_bundle.eval_data
+        rep = evaluate_with_audit(model, data, seed=7, mode=EVAL_STOCHASTIC)
+        tp, fp, fn = np.zeros(2), np.zeros(2), np.zeros(2)
+        counts = np.zeros(2)
+        for i, video in enumerate(data.videos):
+            idx = uniform_segment_indices(video.n_segments, 10)
+            fw = forward_video(model, subsample(video, idx), mode=EVAL_STOCHASTIC,
+                               rng=np.random.default_rng([7, 4000, i]))
+            picked, truth = fw.decisions.U.astype(bool), video.mask[idx]
+            tp += (picked & truth).sum(axis=0)
+            fp += (picked & ~truth).sum(axis=0)
+            fn += (~picked & truth).sum(axis=0)
+            counts += picked.sum(axis=0)
+        assert rep.selected_counts == list(counts)
+        assert np.all(tp + fp > 0) and np.all(tp + fn > 0)
+        assert rep.precision == pytest.approx(list(tp / (tp + fp)), rel=1e-12)
+        assert rep.recall == pytest.approx(list(tp / (tp + fn)), rel=1e-12)
+
+    def test_audit_runs_each_video_once(self, small_bundle):
+        model = small_bundle.model
+        before = model.recog.executions
+        rep = evaluate_with_audit(model, small_bundle.eval_data, seed=3)
+        assert rep.f1 is not None
+        assert model.recog.executions - before == rep.executions
+
+    def test_deterministic_audit_matches_audit_policy(self, small_bundle):
+        rep = evaluate_with_audit(small_bundle.model, small_bundle.eval_data, seed=3)
+        precision, recall, f1 = audit_policy(small_bundle.model, small_bundle.eval_data)
+        assert (rep.precision, rep.recall, rep.f1) == (precision, recall, f1)
 
     def test_missing_masks_rejected(self, small_bundle):
         data = self._world([0.5, 0.5])

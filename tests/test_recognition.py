@@ -163,12 +163,11 @@ class TestEndToEnd:
             )
             loss = total_loss(fw.prediction, video.label, fw.decisions, CostModel())
             backward(loss)
-        hit = any(
-            lt is not None and lt.grad is not None and np.any(lt.grad != 0.0)
-            for row in fw.decisions.logit_tensors
-            for lt in row
-        )
-        assert hit, "no gradient reached any decision logit"
+        heads = {name: p for name, p in model.policy_parameters().items()
+                 if name.startswith("policy.head")}
+        assert len(heads) == 2 * len(model.modalities)
+        for name, p in heads.items():
+            assert p.grad is not None and np.any(p.grad != 0.0), f"no gradient reached {name}"
 
     def test_prediction_is_a_distribution(self):
         model = tiny_model()
