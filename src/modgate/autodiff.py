@@ -5,7 +5,11 @@ Everything is 64-bit and row-major.  Operations record onto an explicit
 active; ``backward`` replays the tape once in reverse and accumulates
 gradients additively across fan-out.  Broadcasting is deliberately limited to
 scalar-with-tensor so every backward rule stays small enough to audit by hand;
-anything else raises ``DimensionError``.
+anything else raises ``DimensionError``.  The one exception is ``affine``,
+whose bias is a single row added to every row of a ``(T, D)`` input; that
+broadcast lives inside the op and its own backward rule.  ``lstm`` is a
+sequence op: it runs a whole recurrence forward as one record, and its rule
+back-propagates through time.
 
 A forward pass that produces NaN or Inf from finite inputs raises
 ``DomainError`` immediately: overflow is an error, not a silent state.
@@ -231,10 +235,62 @@ def concatenate(tensors, axis=0):
 
 
 def narrow(t, key):
-    """Basic indexing (ints and slices); gradient scatters back additively."""
+    """Basic indexing (ints, slices, ``...``); the gradient lands where the values came from."""
     t = _as_tensor(t)
     picked = np.array(t.values[key], dtype=np.float64)
     return _emit("slice", (t,), picked, ctx=key)
+
+
+def affine(x, W, b):
+    """``W @ x + b`` for a vector ``x``, or ``x @ W.T + b`` row by row for a (T, D) ``x``."""
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
+    if (W.values.ndim != 2 or b.values.shape != W.values.shape[:1]
+            or x.values.ndim not in (1, 2) or x.values.shape[-1] != W.values.shape[1]):
+        raise DimensionError(
+            f"affine: x {x.values.shape}, W {W.values.shape}, b {b.values.shape} do not fit"
+        )
+    if x.values.ndim == 1:
+        out = W.values @ x.values + b.values
+    else:
+        out = x.values @ W.values.T + b.values
+    return _emit("affine", (x, W, b), out)
+
+
+def lstm(pre, Wh, h0, c0):
+    """An LSTM recurrence over the rows of ``pre``, as one op; gate order i, f, g, o.
+
+    ``pre`` holds each step's input pre-activations, (T, 4H), or one step as
+    a (4H,) vector; step t adds ``Wh @ h_{t-1}`` to row t, starting from
+    ``h0`` and ``c0``.  Returns one row ``[h_t | c_t]`` per step, (T, 2H), or
+    a (2H,) vector for a one-step vector input.
+    """
+    pre, Wh, h0, c0 = (_as_tensor(t) for t in (pre, Wh, h0, c0))
+    H = h0.values.shape[0] if h0.values.ndim == 1 else -1
+    if (H < 1 or c0.values.shape != (H,) or Wh.values.shape != (4 * H, H)
+            or pre.values.ndim not in (1, 2) or pre.values.shape[-1] != 4 * H):
+        raise DimensionError(
+            f"lstm: pre {pre.values.shape}, Wh {Wh.values.shape}, h0 {h0.values.shape}, "
+            f"c0 {c0.values.shape} do not fit"
+        )
+    steps = pre.values.reshape(-1, 4, H)
+    T = steps.shape[0]
+    gates = np.empty((T, 4, H))  # activated i, f, g, o per step
+    hidden = np.empty((T + 1, H))  # h_{t-1} at row t
+    cells = np.empty((T + 1, H))  # c_{t-1} at row t
+    hidden[0], cells[0] = h0.values, c0.values
+    W = Wh.values
+    with np.errstate(over="ignore"):  # exp(-z) -> inf gives the exact limit 0
+        for t in range(T):
+            z = steps[t] + (W @ hidden[t]).reshape(4, H)
+            a = gates[t]
+            np.divide(1.0, 1.0 + np.exp(-z), out=a)
+            a[2] = np.tanh(z[2])
+            cells[t + 1] = a[1] * cells[t] + a[0] * a[2]
+            hidden[t + 1] = a[3] * np.tanh(cells[t + 1])
+    out = np.concatenate([hidden[1:], cells[1:]], axis=1)
+    if pre.values.ndim == 1:
+        out = out.reshape(2 * H)
+    return _emit("lstm", (pre, Wh, h0, c0), out, ctx=(gates, hidden, cells))
 
 
 def sigmoid(t):
@@ -356,8 +412,43 @@ def _bk_concatenate(rec, g):
 def _bk_slice(rec, g):
     (a,) = rec.inputs
     out = np.zeros_like(a.values)
-    np.add.at(out, rec.ctx, g)
+    out[rec.ctx] = g  # basic indexing picks no element twice
     return (out,)
+
+
+def _bk_affine(rec, g):
+    x, W, _ = rec.inputs
+    if x.values.ndim == 1:
+        return (W.values.T @ g, np.outer(g, x.values), g)
+    return (g @ W.values, g.T @ x.values, g.sum(axis=0))
+
+
+def _bk_lstm(rec, g):
+    """Back-propagation through time, last step first."""
+    pre, Wh, _, _ = rec.inputs
+    gates, hidden, cells = rec.ctx
+    T, _, H = gates.shape
+    i, f, c, o = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
+    tanh_c = np.tanh(cells[1:])
+    # d pre / d c_t for the i, f, g gates, and d pre / d h_t for the o gate
+    by_cell = np.stack([c * i * (1.0 - i), cells[:-1] * f * (1.0 - f), i * (1.0 - c * c)], axis=1)
+    by_hidden = tanh_c * o * (1.0 - o)
+    h_to_c = o * (1.0 - tanh_c * tanh_c)
+    up = g.reshape(T, 2, H)
+    W = Wh.values
+    d_pre = np.empty((T, 4, H))
+    d_h = np.zeros(H)
+    d_c = np.zeros(H)
+    for t in range(T - 1, -1, -1):
+        d_h = up[t, 0] + d_h
+        d_c = up[t, 1] + d_c + d_h * h_to_c[t]
+        d = d_pre[t]
+        np.multiply(by_cell[t], d_c, out=d[:3])
+        np.multiply(by_hidden[t], d_h, out=d[3])
+        d_c = d_c * f[t]
+        d_h = d.reshape(4 * H) @ W
+    d_pre = d_pre.reshape(T, 4 * H)
+    return (d_pre.reshape(pre.values.shape), d_pre.T @ hidden[:-1], d_h, d_c)
 
 
 def _bk_sigmoid(rec, g):
@@ -408,6 +499,8 @@ BACKWARD_RULES = {
     "matmul": _bk_matmul,
     "concatenate": _bk_concatenate,
     "slice": _bk_slice,
+    "affine": _bk_affine,
+    "lstm": _bk_lstm,
     "sigmoid": _bk_sigmoid,
     "tanh": _bk_tanh,
     "exp": _bk_exp,
@@ -426,6 +519,8 @@ _FORWARD = {
     "matmul": matmul,
     "concatenate": lambda *ts, axis=0: concatenate(ts, axis=axis),
     "slice": narrow,
+    "affine": affine,
+    "lstm": lstm,
     "sigmoid": sigmoid,
     "tanh": tanh,
     "exp": exp,

@@ -1,8 +1,9 @@
 """Gumbel-Max sampling, its temperature-controlled softmax relaxation, and the
 straight-through carrier that glues discrete decisions into the autodiff graph.
 
-The relaxation machinery works on 2-way (skip/select) score vectors but is
-written for any category count.  Index 1 is "select", index 0 is "skip", and
+The relaxation machinery works on 2-way (skip/select) score vectors, or on
+(T, 2) matrices of them, one row per segment, but is written for any
+category count.  Index 1 is "select", index 0 is "skip", and
 exact ties resolve to skip.
 """
 
@@ -32,13 +33,12 @@ def sample_gumbel(shape, rng):
 
 
 def gumbel_max(log_scores, noise):
-    """Exact categorical sample: argmax of perturbed log-scores; ties pick 0."""
+    """Exact categorical sample: argmax of perturbed log-scores; ties pick 0.
+
+    Works on the last axis, so a (T, n) matrix gives one index per row.
+    """
     s = np.asarray(log_scores, dtype=np.float64) + np.asarray(noise, dtype=np.float64)
-    best = 0
-    for i in range(1, s.shape[-1]):
-        if s[i] > s[best]:
-            best = i
-    return best
+    return np.argmax(s, axis=-1)  # the first of equal maxima
 
 
 def gumbel_softmax(log_scores, noise, tau):
@@ -58,15 +58,16 @@ def straight_through(log_scores, noise, tau):
     """Hard decision forward, relaxed gradient backward.
 
     Returns ``(hard, carrier)`` where ``hard`` is the one-hot Gumbel-Max
-    sample (a plain array) and ``carrier`` is the Tensor
-    hard + (soft - detach(soft)): its forward values equal ``hard`` bitwise
-    (soft - detach(soft) is exactly zero elementwise) while its gradient is
-    bitwise identical to the relaxed sample's.
+    sample (a plain array; one one-hot row per row of a (T, n) input) and
+    ``carrier`` is the Tensor hard + (soft - detach(soft)): its forward
+    values equal ``hard`` bitwise (soft - detach(soft) is exactly zero
+    elementwise) while its gradient is bitwise identical to the relaxed
+    sample's.
     """
     soft = gumbel_softmax(log_scores, noise, tau)
     raw = log_scores.values if isinstance(log_scores, Tensor) else np.asarray(log_scores)
-    hard = np.zeros_like(soft.values)
-    hard[gumbel_max(raw, noise)] = 1.0
+    picked = np.expand_dims(gumbel_max(raw, noise), -1)
+    hard = (picked == np.arange(soft.values.shape[-1])).astype(np.float64)
     carrier = ad.add(ad.constant(hard), ad.subtract(soft, ad.constant(soft.values)))
     return hard, carrier
 

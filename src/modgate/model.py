@@ -31,7 +31,8 @@ class ModelConfig:
 class VideoForward:
     """Result of running one video end to end."""
 
-    prediction: ad.Tensor  # class probability vector
+    prediction: ad.Tensor  # class probability vector: softmax of ``logits``
+    logits: ad.Tensor  # mean logits of the active segments; the loss reads these
     decisions: DecisionMatrix
     segments: list
     executions: int
@@ -108,16 +109,25 @@ def infer_architecture(state):
     if not sub_ids or sub_ids != list(range(len(sub_ids))):
         raise MismatchError("checkpoint does not contain a contiguous set of sub-networks")
     K = len(sub_ids)
-    recog_dims = [state[f"recog.sub{k}.W1"].shape[1] for k in range(K)]
-    policy_dims = [state[f"policy.extractor.mod{k}.W"].shape[1] for k in range(K)]
-    n_classes = state["recog.sub0.W2"].shape[0]
+
+    def shape(name):  # every parameter read here is a weight matrix
+        if name not in state:
+            raise MismatchError(f"checkpoint lacks parameter {name!r}")
+        if state[name].ndim != 2:
+            raise MismatchError(f"checkpoint parameter {name!r} has shape {state[name].shape}, "
+                                "expected a matrix")
+        return state[name].shape
+
+    recog_dims = [shape(f"recog.sub{k}.W1")[1] for k in range(K)]
+    policy_dims = [shape(f"policy.extractor.mod{k}.W")[1] for k in range(K)]
+    n_classes = shape("recog.sub0.W2")[0]
     head_ids = [int(m.group(1)) for m in (re.match(r"policy\.head(\d+)\.W$", n) for n in state) if m]
     no_lstm = "policy.lstm.Wx" not in state
     config = ModelConfig(
-        extractor_hidden=state["policy.extractor.mod0.W"].shape[0],
-        feature_width=state["policy.extractor.fc1.W"].shape[0],
-        lstm_hidden=ModelConfig.lstm_hidden if no_lstm else state["policy.lstm.Wh"].shape[1],
-        recog_hidden=state["recog.sub0.W1"].shape[0],
+        extractor_hidden=shape("policy.extractor.mod0.W")[0],
+        feature_width=shape("policy.extractor.fc1.W")[0],
+        lstm_hidden=ModelConfig.lstm_hidden if no_lstm else shape("policy.lstm.Wh")[1],
+        recog_hidden=shape("recog.sub0.W1")[0],
         no_lstm=no_lstm,
         joint_skip=len(head_ids) == 1 and K > 1,
     )
@@ -183,23 +193,22 @@ def forward_video(model, video, mode=EVAL_DETERMINISTIC, tau=1.0, rng=None, nois
         )
 
     executed_before = model.recog.executions
-    train = decisions.carriers is not None
+    # the select column of each modality's straight-through carrier (training)
+    select = None if decisions.carriers is None else [c[:, 1] for c in decisions.carriers]
     segments = []
     for t in range(video.n_segments):
         logits = [None] * len(model.modalities)
-        gates = None
+        gates = None if select is None else [None] * len(model.modalities)
         for k in range(len(model.modalities)):
             if decisions.U[t, k] == 1:
                 logits[k] = model.recog.subnetwork_forward(k, video.recog_views[k][t])
-        if train:
-            gates = [
-                None if decisions.carriers[t][k] is None else decisions.carriers[t][k][1:2]
-                for k in range(len(model.modalities))
-            ]
+                if select is not None:
+                    gates[k] = select[k][t:t + 1]
         segments.append(model.recog.fuse_segment(logits, decisions.U[t], gates))
-    prediction = model.recog.video_predict(segments)
+    video_logits = model.recog.video_logits(segments)
     return VideoForward(
-        prediction=prediction,
+        prediction=ad.softmax(video_logits),
+        logits=video_logits,
         decisions=decisions,
         segments=segments,
         executions=model.recog.executions - executed_before,

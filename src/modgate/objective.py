@@ -20,9 +20,6 @@ from .autodiff import Tensor
 from .errors import ConfigError
 from .modality import default_modalities
 
-_LOG_FLOOR = 1e-12
-
-
 @dataclass
 class CostModel:
     """Penalty weights and the segment budget C used as the fraction denominator."""
@@ -49,26 +46,27 @@ def efficiency_cost(u_column, correct, lam, cost):
     return lam * frac * frac
 
 
-def cross_entropy(pred, label):
-    """-log p[label] with a 1e-12 floor; the floor branch carries no gradient."""
-    p_y = pred[int(label)]
-    if float(p_y.values) < _LOG_FLOOR:
-        p_y = ad.constant(_LOG_FLOOR)
-    return ad.scale(ad.log(p_y), -1.0)
+def cross_entropy(logits, label):
+    """-log softmax(logits)[label], from ``log_softmax``: no probability is ever logged.
+
+    A confidently wrong video, whose p[label] underflows, keeps its full
+    gradient.
+    """
+    return ad.scale(ad.log_softmax(logits)[int(label)], -1.0)
 
 
-def total_loss(pred, label, decisions, cost):
+def total_loss(logits, label, decisions, cost):
     """Cross-entropy plus the summed per-modality usage penalties.
 
-    ``pred`` is the video's probability vector (graph tensor), ``decisions``
-    a train-stochastic DecisionMatrix.  With every lam at zero the result is
-    exactly the cross-entropy graph, bit for bit.
+    ``logits`` are the video's class logits (``VideoForward.logits``, a graph
+    tensor), ``decisions`` a train-stochastic DecisionMatrix.  With every lam
+    at zero the result is exactly the cross-entropy graph, bit for bit.
     """
     K = decisions.n_modalities
     if len(cost.lams) != K:
         raise ConfigError(f"{len(cost.lams)} lam values for {K} modalities")
-    loss = cross_entropy(pred, label)
-    correct = int(np.argmax(pred.values)) == int(label)
+    loss = cross_entropy(logits, label)
+    correct = int(np.argmax(logits.values)) == int(label)
     for k in range(K):
         lam = cost.lams[k]
         if lam == 0.0:
@@ -77,9 +75,7 @@ def total_loss(pred, label, decisions, cost):
             loss = ad.add(loss, ad.constant(lam * cost.gamma))
             continue
         if decisions.carriers is not None:
-            picks = ad.concatenate(
-                [decisions.carriers[t][k][1:2] for t in range(decisions.n_segments)]
-            )
+            picks = decisions.carriers[k][:, 1]
             frac = ad.scale(ad.reduce_sum(picks), 1.0 / cost.train_segments)
         else:
             frac = ad.constant(np.sum(decisions.U[:, k]) / cost.train_segments)

@@ -1,8 +1,9 @@
 """The selection policy: decides per segment which modalities to process.
 
 Each segment's cheap policy views pass through per-modality extractors into a
-joint feature, an LSTM cell carries history across segments, and per-modality
-2-way heads score skip (index 0) versus select (index 1).  During training
+joint feature, an LSTM carries history across segments, and per-modality
+2-way heads score skip (index 0) versus select (index 1).  A rollout runs each
+stage once per video, on matrices with one row per segment.  During training
 the discrete decisions ride a Gumbel-Softmax straight-through carrier so
 gradients reach every policy parameter; at evaluation the argmax is taken
 directly (or sampled, for stochastic inference).
@@ -27,7 +28,7 @@ ROLLOUT_MODES = (TRAIN_STOCHASTIC, EVAL_DETERMINISTIC, EVAL_STOCHASTIC)
 
 @dataclass
 class PolicyState:
-    """LSTM recurrent state: hidden vector ``h`` and cell vector ``o``."""
+    """LSTM recurrent state: hidden ``h`` and cell ``o``, as vectors or as (T, H) rows."""
 
     h: Tensor
     o: Tensor
@@ -39,14 +40,15 @@ class DecisionMatrix:
 
     ``U`` holds the hard 0/1 decisions, ``P`` the relaxed probability rows
     that produced them, and ``logits`` the raw head scores.  ``carriers``
-    (training only) are the straight-through tensors whose select component
-    gates the recognition path.
+    (training only) hold one (T, 2) straight-through tensor per modality;
+    its select column (index 1) gates that modality's recognition path.
+    Under joint skip every modality holds the same tensor.
     """
 
     U: np.ndarray  # (T, K) int8
     P: np.ndarray  # (T, K, 2)
     logits: np.ndarray  # (T, K, 2)
-    carriers: list | None = None  # [t][k] -> Tensor(2,)
+    carriers: list | None = None  # [k] -> Tensor(T, 2)
 
     @property
     def n_segments(self):
@@ -141,19 +143,23 @@ class PolicyNet:
         return dict(self.params)
 
     def _affine(self, prefix, x):
-        return ad.add(ad.matmul(self.params[prefix + ".W"], x), self.params[prefix + ".b"])
+        return ad.affine(x, self.params[prefix + ".W"], self.params[prefix + ".b"])
 
     def extract_joint_feature(self, policy_views):
-        """Per-modality tanh extractors, concatenated, through two tanh layers."""
+        """Per-modality tanh extractors, concatenated, through two tanh layers.
+
+        Each view is one segment's vector or a (T, width) matrix with one row
+        per segment; the feature then has one row per segment too.
+        """
         if len(policy_views) != len(self.modalities):
             raise ContractError(
                 f"expected {len(self.modalities)} policy views, got {len(policy_views)}"
             )
-        parts = []
-        for k, view in enumerate(policy_views):
-            x = view if isinstance(view, Tensor) else ad.constant(view)
-            parts.append(ad.tanh(self._affine(f"policy.extractor.mod{k}", x)))
-        joint = ad.concatenate(parts)
+        parts = [
+            ad.tanh(self._affine(f"policy.extractor.mod{k}", view))
+            for k, view in enumerate(policy_views)
+        ]
+        joint = ad.concatenate(parts, axis=-1)
         joint = ad.tanh(self._affine("policy.extractor.fc1", joint))
         return ad.tanh(self._affine("policy.extractor.fc2", joint))
 
@@ -162,40 +168,35 @@ class PolicyNet:
         return PolicyState(h=ad.constant(zeros), o=ad.constant(zeros.copy()))
 
     def lstm_step(self, feature, state):
-        """One LSTM cell update; gate order in the packed vectors is i, f, g, o."""
+        """LSTM updates from ``state``, one per row of ``feature``; gate order i, f, g, o.
+
+        A feature vector is one step and gives state vectors; a (T, F) matrix
+        runs T steps as one ``lstm`` op and gives (T, H) rows, the state after
+        each step.
+        """
         H = self.n_hidden
-        pre = ad.add(
-            ad.add(
-                ad.matmul(self.params["policy.lstm.Wx"], feature),
-                ad.matmul(self.params["policy.lstm.Wh"], state.h),
-            ),
-            self.params["policy.lstm.b"],
-        )
-        gate_i = ad.sigmoid(pre[0:H])
-        gate_f = ad.sigmoid(pre[H : 2 * H])
-        cand = ad.tanh(pre[2 * H : 3 * H])
-        gate_o = ad.sigmoid(pre[3 * H : 4 * H])
-        cell = ad.add(ad.multiply(gate_f, state.o), ad.multiply(gate_i, cand))
-        hidden = ad.multiply(gate_o, ad.tanh(cell))
-        return PolicyState(h=hidden, o=cell)
+        pre = ad.affine(feature, self.params["policy.lstm.Wx"], self.params["policy.lstm.b"])
+        out = ad.lstm(pre, self.params["policy.lstm.Wh"], state.h, state.o)
+        return PolicyState(h=out[..., :H], o=out[..., H:])
 
     def decision_heads(self, summary):
-        """Skip/select scores per head from the segment summary vector."""
+        """Skip/select scores per head: one (2,) vector, or (T, 2) rows for (T, width)."""
         return [self._affine(f"policy.head{k}", summary) for k in range(self.n_heads)]
 
     def rollout(self, video, tau=1.0, mode=EVAL_DETERMINISTIC, rng=None, noise=None,
                 soft_gates=False):
-        """Walk a video's segments in order and decide per modality.
+        """Decide per segment and modality, over all of a video's segments at once.
 
         ``mode`` is one of ``train-stochastic`` (Gumbel sampling with
         straight-through carriers), ``eval-deterministic`` (argmax, ties skip)
         or ``eval-stochastic`` (Gumbel sampling, no carriers).  ``noise`` may
         supply frozen Gumbel draws of shape (T, n_heads, 2); otherwise the
-        stochastic modes draw from ``rng``.  ``soft_gates`` swaps the
+        stochastic modes draw them from ``rng``.  ``soft_gates`` swaps the
         straight-through carriers for the relaxed samples themselves, which
         makes the whole loss finite-difference checkable.
 
-        Decisions for segment t depend only on segments 1..t.
+        The extractor and the heads run once on (T, width) matrices and the
+        LSTM as one op.  Decisions for segment t depend only on segments 1..t.
         """
         if mode not in ROLLOUT_MODES:
             raise ContractError(f"unknown rollout mode {mode!r}")
@@ -211,51 +212,39 @@ class PolicyNet:
         K = len(self.modalities)
         if video.n_modalities != K:
             raise ContractError(f"video has {video.n_modalities} modalities, policy has {K}")
+        if not stochastic:
+            noise = None
+        elif noise is None:
+            noise = sample_gumbel((T, self.n_heads, 2), rng)
+        else:
+            noise = np.asarray(noise, dtype=np.float64)
+            if noise.shape != (T, self.n_heads, 2):
+                raise ContractError(f"noise shape {noise.shape} != {(T, self.n_heads, 2)}")
         U = np.zeros((T, K), dtype=np.int8)
         P = np.zeros((T, K, 2))
         Z = np.zeros((T, K, 2))
-        carriers = [[None] * K for _ in range(T)] if train else None
+        carriers = [None] * K if train else None
 
-        state = self.initial_state()
-        for t in range(T):
-            feature = self.extract_joint_feature(
-                [video.policy_views[k][t] for k in range(K)]
-            )
-            if self.no_lstm:
-                summary = feature
+        summary = self.extract_joint_feature(video.policy_views)
+        if not self.no_lstm:
+            summary = self.lstm_step(summary, self.initial_state()).h
+        for j, z in enumerate(self.decision_heads(summary)):
+            g = None if noise is None else noise[:, j]
+            if train and soft_gates:
+                carrier = gumbel_softmax(z, g, tau)
+                u = gumbel_max(z.values, g)
+            elif train:
+                hard, carrier = straight_through(z, g, tau)
+                u = hard[:, 1]
+            elif mode == EVAL_STOCHASTIC:
+                u = gumbel_max(z.values, g)
             else:
-                state = self.lstm_step(feature, state)
-                summary = state.h
-            heads = self.decision_heads(summary)
-            for j, z in enumerate(heads):
-                if noise is not None:
-                    g = np.asarray(noise[t][j], dtype=np.float64)
-                elif stochastic:
-                    g = sample_gumbel((2,), rng)
-                else:
-                    g = None
+                u = z.values[:, 1] > z.values[:, 0]
+            p = _np_softmax_pair(z.values if g is None else (z.values + g) / tau)
+            for k in range(K) if self.joint_skip else (j,):
+                U[:, k] = u
+                P[:, k] = p
+                Z[:, k] = z.values
                 if train:
-                    if soft_gates:
-                        carrier = gumbel_softmax(z, g, tau)
-                        hard_idx = gumbel_max(z.values, g)
-                    else:
-                        hard, carrier = straight_through(z, g, tau)
-                        hard_idx = int(np.argmax(hard))
-                    p_row = _np_softmax_pair((z.values + g) / tau)
-                    u = hard_idx
-                elif mode == EVAL_STOCHASTIC:
-                    u = gumbel_max(z.values, g)
-                    p_row = _np_softmax_pair((z.values + g) / tau)
-                    carrier = None
-                else:
-                    u = 1 if z.values[1] > z.values[0] else 0
-                    p_row = _np_softmax_pair(z.values)
-                    carrier = None
-                ks = range(K) if self.joint_skip else (j,)
-                for k in ks:
-                    U[t, k] = u
-                    P[t, k] = p_row
-                    Z[t, k] = z.values
-                    if train:
-                        carriers[t][k] = carrier
+                    carriers[k] = carrier
         return DecisionMatrix(U=U, P=P, logits=Z, carriers=carriers)

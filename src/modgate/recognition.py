@@ -67,13 +67,9 @@ class RecognitionNet:
         """Class logits for one modality's segment view; counts as one execution."""
         if not 0 <= k < len(self.modalities):
             raise ContractError(f"no sub-network {k}")
-        x = x if isinstance(x, Tensor) else ad.constant(x)
-        hidden = ad.tanh(
-            ad.add(ad.matmul(self.params[f"recog.sub{k}.W1"], x), self.params[f"recog.sub{k}.b1"])
-        )
-        logits = ad.add(
-            ad.matmul(self.params[f"recog.sub{k}.W2"], hidden), self.params[f"recog.sub{k}.b2"]
-        )
+        p = self.params
+        hidden = ad.tanh(ad.affine(x, p[f"recog.sub{k}.W1"], p[f"recog.sub{k}.b1"]))
+        logits = ad.affine(hidden, p[f"recog.sub{k}.W2"], p[f"recog.sub{k}.b2"])
         self.executions += 1
         return logits
 
@@ -110,14 +106,17 @@ class RecognitionNet:
             total = term if total is None else ad.add(total, term)
         return SegmentPrediction(logits=total, active=True)
 
-    def video_predict(self, segment_predictions):
-        """Video-level class probabilities: mean of active logits, then softmax.
+    def video_logits(self, segment_predictions):
+        """Video-level class logits: the mean of the active segments' logits.
 
-        With every segment skipped there is nothing to average; the prediction
-        falls back to the uniform distribution.
+        With every segment skipped there is nothing to average; the logits are
+        zero, so the prediction falls back to the uniform distribution.
         """
         active = [sp.logits for sp in segment_predictions if sp.active]
         if not active:
-            return ad.constant(np.full(self.n_classes, 1.0 / self.n_classes))
-        mean_logits = ad.scale(ad.add_n(active), 1.0 / len(active))
-        return ad.softmax(mean_logits)
+            return ad.constant(np.zeros(self.n_classes))
+        return ad.scale(ad.add_n(active), 1.0 / len(active))
+
+    def video_predict(self, segment_predictions):
+        """Video-level class probabilities: softmax of ``video_logits``."""
+        return ad.softmax(self.video_logits(segment_predictions))

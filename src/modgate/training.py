@@ -10,6 +10,7 @@ Reports are therefore byte-reproducible.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,14 +164,28 @@ def all_on(shape, rng):
     return np.ones(shape, dtype=np.int8)
 
 
+@contextmanager
+def _frozen(params):
+    """Switch ``requires_grad`` off on ``params`` for the block, then restore it."""
+    saved = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, saved):
+            p.requires_grad = flag
+
+
 def _run_epoch(model, videos, cfg, cost, epoch, phase, tau, optimizer, group, *,
                stochastic, policy_loss, forced=None):
     """One pass over the data; returns the trace row.
 
-    ``group`` is the parameter dict the optimizer may touch; every other
-    parameter keeps its values bit for bit (gradients outside the group are
-    simply discarded).  ``forced`` overrides the policy with a callable
-    ``(shape, rng) -> U`` for warm-up and baseline schedules.
+    ``group`` is the parameter dict the optimizer may touch.  Every other
+    parameter is frozen for the epoch (``requires_grad`` off, restored on
+    exit), so it stays off the tape and keeps its values bit for bit.
+    ``forced`` overrides the policy with a callable ``(shape, rng) -> U`` for
+    warm-up and baseline schedules.
     """
     order = np.random.default_rng([cfg.seed, 1000 + epoch]).permutation(len(videos))
     K = len(model.modalities)
@@ -179,43 +194,48 @@ def _run_epoch(model, videos, cfg, cost, epoch, phase, tau, optimizer, group, *,
     selected = np.zeros(K)
     slots = 0
     compute_sum = 0.0
-    for start in range(0, len(order), cfg.batch_size):
-        batch = order[start:start + cfg.batch_size]
-        losses = []
-        with ad.Tape():
-            for idx in batch:
-                video = videos[idx]
-                rng = np.random.default_rng([cfg.seed, epoch, int(idx)])
-                n_take = min(cfg.train_segments, video.n_segments)
-                positions = np.sort(rng.choice(video.n_segments, size=n_take, replace=False))
-                clip = subsample(video, positions)
-                if forced is not None:
-                    fw = forward_video(model, clip, forced_gates=forced((n_take, K), rng))
-                elif stochastic:
-                    noise = sample_gumbel((n_take, model.policy.n_heads, 2), rng)
-                    fw = forward_video(
-                        model, clip, mode=TRAIN_STOCHASTIC, tau=tau, noise=noise
-                    )
-                else:
-                    fw = forward_video(model, clip, mode=EVAL_DETERMINISTIC)
-                if policy_loss:
-                    loss = total_loss(fw.prediction, video.label, fw.decisions, cost)
-                else:
-                    loss = cross_entropy(fw.prediction, video.label)
-                losses.append(loss)
-                loss_sum += float(loss.values)
-                n_correct += int(np.argmax(fw.prediction.values) == video.label)
-                selected += fw.decisions.U.sum(axis=0)
-                slots += n_take
-                compute_sum += simulated_compute(fw.decisions.U, model.modalities)
-            objective = batch_mean(losses)
-            # A batch whose routes never execute anything yields a constant
-            # fallback prediction; there is nothing to differentiate then.
+    frozen = [p for name, p in model.parameters().items() if name not in group]
+    with _frozen(frozen):
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            losses = []
+            with ad.Tape() as tape:
+                for idx in batch:
+                    video = videos[idx]
+                    rng = np.random.default_rng([cfg.seed, epoch, int(idx)])
+                    n_take = min(cfg.train_segments, video.n_segments)
+                    positions = np.sort(rng.choice(video.n_segments, size=n_take, replace=False))
+                    clip = subsample(video, positions)
+                    if forced is not None:
+                        fw = forward_video(model, clip, forced_gates=forced((n_take, K), rng))
+                    elif stochastic:
+                        noise = sample_gumbel((n_take, model.policy.n_heads, 2), rng)
+                        fw = forward_video(
+                            model, clip, mode=TRAIN_STOCHASTIC, tau=tau, noise=noise
+                        )
+                    else:
+                        fw = forward_video(model, clip, mode=EVAL_DETERMINISTIC)
+                    if policy_loss:
+                        loss = total_loss(fw.logits, video.label, fw.decisions, cost)
+                    else:
+                        loss = cross_entropy(fw.logits, video.label)
+                    losses.append(loss)
+                    loss_sum += float(loss.values)
+                    n_correct += int(np.argmax(fw.prediction.values) == video.label)
+                    selected += fw.decisions.U.sum(axis=0)
+                    slots += n_take
+                    compute_sum += simulated_compute(fw.decisions.U, model.modalities)
+                objective = batch_mean(losses)
+                # A batch whose routes never execute anything yields a constant
+                # fallback prediction; there is nothing to differentiate then.
+                if objective.requires_grad:
+                    ad.backward(objective)
+            # Each record's output points back at the tape: empty it so that
+            # reference counting frees the batch's graph now, not the cyclic GC.
+            tape.records.clear()
             if objective.requires_grad:
-                ad.backward(objective)
-        if objective.requires_grad:
-            optimizer.step(group)
-        model.zero_grad()
+                optimizer.step(group)
+            model.zero_grad()
     n = len(videos)
     return EpochRow(
         epoch=epoch,

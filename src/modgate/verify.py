@@ -53,6 +53,19 @@ def check_grad_rules(seed=0):
     check("sum", ad.reduce_sum, ad.Tensor(rng.normal(size=5)))
     check("mean", ad.reduce_mean, ad.Tensor(rng.normal(size=5)))
 
+    # affine on one vector and on (T, D) rows, into all three inputs
+    for x_shape, out_shape in (((4,), (3,)), ((5, 4), (5, 3))):
+        x, W, b = (ad.Tensor(rng.normal(size=s)) for s in (x_shape, (3, 4), (3,)))
+        for name, t in (("x", x), ("W", W), ("b", b)):
+            check(f"affine/{len(x_shape)}d/{name}",
+                  scalarized(lambda _, x=x, W=W, b=b: ad.affine(x, W, b), out_shape), t)
+    # lstm over T = 4 steps from a non-zero state, into all four inputs
+    H = 3
+    pre, Wh, h0, c0 = (ad.Tensor(rng.normal(size=s)) for s in ((4, 4 * H), (4 * H, H), H, H))
+    run = scalarized(lambda _: ad.lstm(pre, Wh, h0, c0), (4, 2 * H))
+    for name, t in (("pre", pre), ("Wh", Wh), ("h0", h0), ("c0", c0)):
+        check(f"lstm/{name}", run, t)
+
     # the whole objective on a toy rollout with frozen noise and relaxed gates
     mods = [
         ModalitySpec("a", recog_dim=6, policy_dim=4, recog_cost=1.0, policy_cost=0.076),
@@ -69,9 +82,10 @@ def check_grad_rules(seed=0):
     def full_loss(_):
         fw = forward_video(model, video, mode=TRAIN_STOCHASTIC, tau=1.0, noise=noise,
                            soft_gates=True)
-        return total_loss(fw.prediction, video.label, fw.decisions, cost)
+        return total_loss(fw.logits, video.label, fw.decisions, cost)
 
-    for name in ("policy.lstm.Wx", "policy.head0.W", "recog.sub0.W1", "recog.fusion"):
+    for name in ("policy.lstm.Wx", "policy.lstm.Wh", "policy.head0.W", "recog.sub0.W1",
+                 "recog.fusion"):
         rep = ad.grad_check(full_loss, model.parameters()[name], tol=1e-4)
         if not rep.passed:
             failures.append(f"full-loss/{name} (rel err {rep.max_rel_error:.1e})")

@@ -78,7 +78,7 @@ class TestAcceptance:
         def full_loss(_):
             fw = forward_video(model, video, mode=TRAIN_STOCHASTIC, tau=1.0,
                                noise=noise, soft_gates=True)
-            return total_loss(fw.prediction, video.label, fw.decisions, cost)
+            return total_loss(fw.logits, video.label, fw.decisions, cost)
 
         worst = 0.0
         params = model.parameters()

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modgate import autodiff as ad
+from modgate import verify
 from modgate.autodiff import Tape, Tensor, backward, grad_check
 from modgate.errors import ContractError, DimensionError, DomainError
 
@@ -245,6 +247,9 @@ class TestForwardOpDispatch:
             "matmul": ([Tensor(np.ones((2, 2))), Tensor(np.ones(2))], {}),
             "concatenate": ([Tensor([1.0]), Tensor([2.0])], {}),
             "slice": ([Tensor([1.0, 2.0]), slice(0, 1)], {}),
+            "affine": ([Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))), Tensor(np.ones(4))], {}),
+            "lstm": ([Tensor(np.ones((3, 8))), Tensor(np.ones((8, 2))), Tensor(np.zeros(2)),
+                      Tensor(np.zeros(2))], {}),
             "sigmoid": ([Tensor([0.0])], {}),
             "tanh": ([Tensor([0.0])], {}),
             "exp": ([Tensor([0.0])], {}),
@@ -262,3 +267,113 @@ class TestForwardOpDispatch:
     def test_unknown_kind_raises(self):
         with pytest.raises(ContractError):
             ad.forward_op("convolve", [Tensor([1.0])])
+
+
+def _lstm_by_steps(pre, Wh, h0, c0):
+    """The recurrence as one cell per step, from the elementwise ops."""
+    H = h0.values.shape[0]
+    h, c, rows = h0, c0, []
+    for t in range(pre.values.shape[0]):
+        z = ad.add(pre[t], ad.matmul(Wh, h))
+        i, f = ad.sigmoid(z[0:H]), ad.sigmoid(z[H:2 * H])
+        g, o = ad.tanh(z[2 * H:3 * H]), ad.sigmoid(z[3 * H:])
+        c = ad.add(ad.multiply(f, c), ad.multiply(i, g))
+        h = ad.multiply(o, ad.tanh(c))
+        rows.append(ad.concatenate([h, c]))
+    return rows
+
+
+class TestSequenceOps:
+    def test_affine_rows_match_the_vector_form(self):
+        X, W, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), rng.normal(size=5)
+        rows = ad.affine(X, W, b).values
+        for t in range(4):
+            np.testing.assert_allclose(rows[t], ad.affine(X[t], W, b).values, rtol=1e-14)
+            np.testing.assert_allclose(rows[t], W @ X[t] + b, rtol=1e-14)
+
+    def test_affine_shape_errors(self):
+        with pytest.raises(DimensionError):
+            ad.affine(np.ones(4), np.ones((5, 3)), np.ones(5))
+        with pytest.raises(DimensionError):
+            ad.affine(np.ones(3), np.ones((5, 3)), np.ones(4))
+
+    def test_lstm_matches_the_step_by_step_cell(self):
+        H, T = 3, 5
+        pre, Wh = Tensor(rng.normal(size=(T, 4 * H))), Tensor(rng.normal(size=(4 * H, H)))
+        h0, c0 = Tensor(rng.normal(size=H)), Tensor(rng.normal(size=H))
+        fused = ad.lstm(pre, Wh, h0, c0).values
+        for t, row in enumerate(_lstm_by_steps(pre, Wh, h0, c0)):
+            np.testing.assert_allclose(fused[t], row.values, rtol=1e-13, atol=1e-15)
+
+    def test_lstm_one_step_vector_form(self):
+        H = 2
+        pre, Wh = rng.normal(size=4 * H), rng.normal(size=(4 * H, H))
+        h0, c0 = rng.normal(size=H), rng.normal(size=H)
+        vec = ad.lstm(pre, Wh, h0, c0)
+        assert vec.shape == (2 * H,)
+        np.testing.assert_array_equal(vec.values, ad.lstm(pre[None], Wh, h0, c0).values[0])
+
+    def test_lstm_gradient_matches_the_step_by_step_cell(self):
+        H, T = 2, 4
+        tensors = [Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((T, 4 * H), (4 * H, H), H, H)]
+        w = ad.constant(rng.normal(size=(T, 2 * H)))
+        grads = []
+        for build in (lambda: ad.lstm(*tensors), lambda: ad.concatenate(
+                [ad.narrow(r, (None, slice(None))) for r in _lstm_by_steps(*tensors)])):
+            for x in tensors:
+                x.grad = None
+            with Tape():
+                backward(ad.reduce_sum(ad.multiply(build(), w)))
+            grads.append([x.grad for x in tensors])
+        for fused, stepped in zip(*grads):
+            np.testing.assert_allclose(fused, stepped, rtol=1e-12, atol=1e-14)
+
+    def test_lstm_shape_errors(self):
+        with pytest.raises(DimensionError):
+            ad.lstm(np.ones((3, 8)), np.ones((8, 3)), np.zeros(2), np.zeros(2))
+        with pytest.raises(DimensionError):
+            ad.lstm(np.ones((3, 7)), np.ones((8, 2)), np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("kind", ["affine", "lstm"])
+    def test_verify_notices_a_broken_rule(self, kind, monkeypatch):
+        rule = ad.BACKWARD_RULES[kind]
+
+        def crooked(rec, g):
+            grads = list(rule(rec, g))
+            grads[1] = grads[1] * 1.01  # the weight matrix of either op
+            return tuple(grads)
+
+        monkeypatch.setitem(ad.BACKWARD_RULES, kind, crooked)
+        passed, detail = verify.check_grad_rules(seed=0)
+        assert not passed and f"{kind}/" in detail
+
+
+def _scalarized(make, shape, seed):
+    w = ad.constant(np.random.default_rng(seed).normal(size=shape))
+    return lambda _: ad.reduce_sum(ad.multiply(make(), w))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(0, 4), d=st.integers(1, 4), e=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_affine_backward_matches_finite_differences(rows, d, e, seed):
+    """``rows`` 0 is the vector form; otherwise a (rows, d) matrix."""
+    gen = np.random.default_rng(seed)
+    x_shape = (d,) if rows == 0 else (rows, d)
+    x, W, b = (Tensor(gen.normal(size=s)) for s in (x_shape, (e, d), (e,)))
+    f = _scalarized(lambda: ad.affine(x, W, b), x_shape[:-1] + (e,), seed)
+    for t in (x, W, b):
+        rep = grad_check(f, t, tol=1e-6)
+        assert rep.passed, rep.max_rel_error
+
+
+@settings(max_examples=25, deadline=None)
+@given(T=st.integers(1, 5), H=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_lstm_backward_matches_finite_differences(T, H, seed):
+    gen = np.random.default_rng(seed)
+    pre, Wh, h0, c0 = (Tensor(gen.normal(size=s)) for s in ((T, 4 * H), (4 * H, H), H, H))
+    f = _scalarized(lambda: ad.lstm(pre, Wh, h0, c0), (T, 2 * H), seed)
+    for t in (pre, Wh, h0, c0):
+        rep = grad_check(f, t, tol=1e-5)
+        assert rep.passed, rep.max_rel_error

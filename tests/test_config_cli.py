@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modgate import autodiff as ad
-from modgate.checkpoint import CHECKPOINT_MAGIC
+from modgate.checkpoint import CHECKPOINT_MAGIC, save_checkpoint
 from modgate.cli import main
 from modgate.config import build_settings, default_config_text, parse_config
 from modgate.datagen import DATASET_MAGIC, GenSpec, load_dataset
@@ -240,6 +240,14 @@ class TestCliEval:
         bad.write_bytes(b"WRONGMAGIC" + open(str(prefix) + ".final", "rb").read()[10:])
         assert main(["eval", "--checkpoint", str(bad), "--data", str(data),
                      "--seed", "3"]) == 3
+
+    def test_checkpoint_lacking_parameters_is_mismatch(self, cli_workspace, tmp_path, capsys):
+        root, cfg, data, prefix = cli_workspace
+        partial = tmp_path / "partial.ckpt"
+        save_checkpoint({"recog.sub0.W1": np.zeros((4, 24))}, str(partial))
+        assert main(["eval", "--checkpoint", str(partial), "--data", str(data),
+                     "--seed", "3"]) == 4
+        assert "policy.extractor.mod0.W" in capsys.readouterr().err
 
     def test_wrong_world_mismatch(self, cli_workspace, tmp_path):
         root, cfg, data, prefix = cli_workspace

@@ -63,28 +63,30 @@ class TestEfficiencyCost:
 
 class TestTotalLoss:
     def test_perfect_prediction_with_no_selection_is_free(self):
-        pred = ad.constant(np.array([1.0, 0.0, 0.0, 0.0]))
+        # softmax rounds to exactly [1, 0, 0, 0]
+        logits = ad.constant(np.array([50.0, 0.0, 0.0, 0.0]))
         decisions = forced_decisions(np.zeros((5, 2), dtype=int))
         cost = CostModel(lams=[1.0, 0.5], gamma=10.0, train_segments=5)
-        loss = total_loss(pred, 0, decisions, cost)
+        loss = total_loss(logits, 0, decisions, cost)
         assert float(loss.values) == 0.0
 
     def test_uniform_incorrect_prediction_pays_gamma_per_modality(self):
-        pred = ad.constant(np.full(4, 0.25))
+        logits = ad.constant(np.zeros(4))
         decisions = forced_decisions(np.ones((5, 2), dtype=int))
         cost = CostModel(lams=[1.0, 1.0], gamma=10.0, train_segments=5)
         # argmax of a uniform vector is class 0; label 2 is a miss
-        loss = total_loss(pred, 2, decisions, cost)
+        loss = total_loss(logits, 2, decisions, cost)
         assert float(loss.values) == pytest.approx(np.log(4.0) + 20.0, abs=1e-12)
 
     def test_usage_fractions_add_squared_penalties(self):
-        pred = ad.constant(np.array([0.7, 0.1, 0.1, 0.1]))
+        # the log of a probability vector is a logit vector for those probabilities
+        logits = ad.constant(np.log([0.7, 0.1, 0.1, 0.1]))
         U = np.zeros((5, 2), dtype=int)
         U[:3, 0] = 1  # fraction 3/5
         U[:, 1] = 1  # fraction 1
         decisions = forced_decisions(U)
         cost = CostModel(lams=[1.0, 0.05], gamma=10.0, train_segments=5)
-        loss = total_loss(pred, 0, decisions, cost)
+        loss = total_loss(logits, 0, decisions, cost)
         expected = -np.log(0.7) + 1.0 * 0.36 + 0.05 * 1.0
         assert float(loss.values) == pytest.approx(expected, abs=1e-12)
 
@@ -95,17 +97,37 @@ class TestTotalLoss:
         cost = CostModel(lams=[0.0, 0.0], gamma=0.0, train_segments=5)
         with Tape() as tape_a:
             fw = forward_video(model, video, mode=TRAIN_STOCHASTIC, tau=1.0, rng=rng_a)
-            full = total_loss(fw.prediction, video.label, fw.decisions, cost)
+            full = total_loss(fw.logits, video.label, fw.decisions, cost)
         with Tape() as tape_b:
             fw2 = forward_video(model, video, mode=TRAIN_STOCHASTIC, tau=1.0, rng=rng_b)
-            plain = cross_entropy(fw2.prediction, video.label)
+            plain = cross_entropy(fw2.logits, video.label)
         assert float(full.values) == float(plain.values)
         assert len(tape_a.records) == len(tape_b.records)
 
-    def test_log_floor_keeps_zero_probability_finite(self):
-        pred = ad.constant(np.array([0.0, 1.0, 0.0, 0.0]))
-        loss = cross_entropy(pred, 0)
-        assert float(loss.values) == pytest.approx(-np.log(1e-12))
+    def test_confidently_wrong_logits_keep_their_gradient(self):
+        logits = ad.Tensor(np.array([0.0, 40.0, 0.0, 0.0]), requires_grad=True)
+        probs = ad.softmax(logits).values
+        assert probs[0] < 1e-12
+        with Tape():
+            loss = cross_entropy(logits, 0)
+            backward(loss)
+        assert float(loss.values) == pytest.approx(40.0 + np.log1p(3 * np.exp(-40.0)))
+        np.testing.assert_allclose(logits.grad, probs - np.eye(4)[0], rtol=1e-12, atol=0)
+
+    def test_confidently_wrong_video_trains_recognition(self):
+        model = tiny_model()
+        video = generate(GenSpec(n_videos=1, segments=5, seed=41)).videos[0]
+        wrong = (video.label + 1) % 4
+        for k in range(2):
+            model.recog.params[f"recog.sub{k}.b2"].values[wrong] = 60.0
+        cost = CostModel(lams=[0.0, 0.0], train_segments=5)
+        with Tape():
+            fw = forward_video(model, video, forced_gates=np.ones((5, 2), dtype=int))
+            assert fw.prediction.values[video.label] < 1e-12
+            backward(total_loss(fw.logits, video.label, fw.decisions, cost))
+        for k in range(2):
+            grad = model.recog.params[f"recog.sub{k}.b2"].grad
+            assert grad is not None and grad[video.label] < -0.1, f"sub-network {k}: {grad}"
 
     def test_lam_count_must_match_modalities(self):
         pred = ad.constant(np.full(4, 0.25))
@@ -132,7 +154,7 @@ class TestLossGradients:
             )
             terms = []
             for k in range(2):
-                picks = ad.concatenate([dm.carriers[t][k][1:2] for t in range(5)])
+                picks = ad.concatenate([dm.carriers[k][t, 1:2] for t in range(5)])
                 frac = ad.scale(ad.reduce_sum(picks), 1.0 / 5.0)
                 terms.append(ad.scale(ad.multiply(frac, frac), cost.lams[k]))
             return ad.add_n(terms)
@@ -152,7 +174,7 @@ class TestLossGradients:
             fw = forward_video(
                 model, video, mode=TRAIN_STOCHASTIC, tau=1.0, noise=noise, soft_gates=True
             )
-            return total_loss(fw.prediction, video.label, fw.decisions, cost)
+            return total_loss(fw.logits, video.label, fw.decisions, cost)
 
         for name in (
             "policy.head1.W",

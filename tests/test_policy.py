@@ -155,7 +155,7 @@ class TestRollout:
         )
         for t in range(5):
             for k in range(2):
-                carrier = dm.carriers[t][k]
+                carrier = dm.carriers[k][t]
                 assert carrier is not None
                 np.testing.assert_array_equal(
                     carrier.values, np.eye(2)[dm.U[t, k]], err_msg=f"cell {t},{k}"
@@ -207,7 +207,7 @@ class TestRollout:
         video = tiny_video()
         with Tape():
             dm = net.rollout(video, tau=1.0, mode=TRAIN_STOCHASTIC, rng=np.random.default_rng(11))
-            total = ad.add_n([dm.carriers[t][k][1] for t in range(5) for k in range(2)])
+            total = ad.add_n([dm.carriers[k][t, 1] for t in range(5) for k in range(2)])
             backward(total)
         groups = ["policy.extractor.mod0", "policy.extractor.fc1", "policy.lstm", "policy.head0"]
         for prefix in groups:
@@ -232,7 +232,7 @@ class TestRollout:
             tiny_video(), tau=1.0, mode=TRAIN_STOCHASTIC, rng=np.random.default_rng(13)
         )
         np.testing.assert_array_equal(dm.U[:, 0], dm.U[:, 1])
-        assert dm.carriers[0][0] is dm.carriers[0][1]
+        assert dm.carriers[0] is dm.carriers[1]
 
 
 class TestForcedDecisions:

@@ -161,7 +161,7 @@ class TestEndToEnd:
             fw = forward_video(
                 model, video, mode=TRAIN_STOCHASTIC, tau=1.0, rng=np.random.default_rng(3)
             )
-            loss = total_loss(fw.prediction, video.label, fw.decisions, CostModel())
+            loss = total_loss(fw.logits, video.label, fw.decisions, CostModel())
             backward(loss)
         heads = {name: p for name, p in model.policy_parameters().items()
                  if name.startswith("policy.head")}

@@ -1,10 +1,14 @@
 """Schedule mechanics, optimizer math, and training reproducibility."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import split_world
 from modgate import autodiff as ad
+from modgate import training
 from modgate.checkpoint import load_checkpoint
 from modgate.datagen import Dataset, GenSpec
 from modgate.errors import ConfigError, InputError
@@ -160,6 +164,81 @@ class TestPhaseFreezing:
         with pytest.raises(InputError):
             train_forced(model, empty, TrainConfig(seed=3),
                          lambda shape, rng: np.ones(shape, dtype=np.int8))
+
+
+class TestFrozenGroups:
+    """Parameters outside the optimizer's group stay off the tape."""
+
+    def _taped_params(self, model, monkeypatch):
+        """Names of the parameters that each backward pass finds on its tape."""
+        names = {id(p): name for name, p in model.parameters().items()}
+        seen = []
+        backward = ad.backward
+
+        def recording(root):
+            seen.append({names[id(t)] for rec in root.tape.records for t in rec.inputs
+                         if id(t) in names})
+            return backward(root)
+
+        monkeypatch.setattr(ad, "backward", recording)
+        return seen
+
+    def test_finetune_tapes_no_policy_parameter(self, monkeypatch):
+        spec, (tr, _) = tiny_world()
+        model = fresh_model(spec, tr)
+        seen = self._taped_params(model, monkeypatch)
+        train(model, tr, TrainConfig(warmup_epochs=0, alternate_epochs=0,
+                                     finetune_epochs=1, seed=3))
+        assert seen and all(names and all(n.startswith("recog.") for n in names)
+                            for names in seen)
+        assert all(p.requires_grad and p.grad is None for p in model.parameters().values())
+
+    def test_policy_epoch_tapes_no_recognition_parameter(self, monkeypatch):
+        spec, (tr, _) = tiny_world()
+        model = fresh_model(spec, tr)
+        seen = self._taped_params(model, monkeypatch)
+        train(model, tr, TrainConfig(warmup_epochs=0, alternate_epochs=1,
+                                     finetune_epochs=0, seed=3))
+        assert seen and all(names and all(n.startswith("policy.") for n in names)
+                            for names in seen)
+        assert all(p.requires_grad for p in model.parameters().values())
+
+    def test_flags_come_back_when_an_epoch_raises(self, monkeypatch):
+        spec, (tr, _) = tiny_world()
+        model = fresh_model(spec, tr)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(training, "forward_video", broken)
+        with pytest.raises(RuntimeError):
+            train(model, tr, TrainConfig(warmup_epochs=0, alternate_epochs=0,
+                                         finetune_epochs=1, seed=3))
+        assert all(p.requires_grad for p in model.parameters().values())
+
+    def test_no_tape_outlives_its_epoch(self, monkeypatch):
+        """Without the cyclic collector, every batch's tape is freed by the epoch's end."""
+        made = []
+
+        class Counted(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad, "Tape", Counted)
+        spec, (tr, _) = tiny_world()
+        model = fresh_model(spec, tr)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            train(model, tr, TrainConfig(warmup_epochs=1, alternate_epochs=2,
+                                         finetune_epochs=1, seed=3))
+            alive = sum(ref() is not None for ref in made)
+        finally:
+            if enabled:
+                gc.enable()
+        assert made and alive == 0
 
 
 class TestWarmupQuality:
