@@ -143,7 +143,7 @@ def constant(values):
 
 
 def _emit(kind, inputs, out_values, ctx=None):
-    if not np.all(np.isfinite(out_values)):
+    if not np.isfinite(out_values).all():
         raise DomainError(f"{kind}: non-finite result (overflow or invalid operand)")
     out = Tensor.__new__(Tensor)
     out.values = out_values
@@ -235,7 +235,12 @@ def concatenate(tensors, axis=0):
 
 
 def narrow(t, key):
-    """Basic indexing (ints, slices, ``...``); the gradient lands where the values came from."""
+    """Pick part of ``t``; the gradient lands where the values came from.
+
+    ``key`` is basic indexing (ints, slices, ``None``, ``...``), or a 1-D
+    integer array without repeats, alone or paired with an int
+    (``t[rows, 1]``), so that no element is picked twice.
+    """
     t = _as_tensor(t)
     picked = np.array(t.values[key], dtype=np.float64)
     return _emit("slice", (t,), picked, ctx=key)
@@ -394,13 +399,18 @@ def _bk_scale(rec, g):
 def _bk_matmul(rec, g):
     a, b = rec.inputs
     av, bv = a.values, b.values
-    if av.ndim == 2 and bv.ndim == 2:
-        return (g @ bv.T, av.T @ g)
-    if av.ndim == 2 and bv.ndim == 1:
-        return (np.outer(g, bv), av.T @ g)
-    if av.ndim == 1 and bv.ndim == 2:
-        return (bv @ g, np.outer(av, g))
-    return (g * bv, g * av)  # dot product, g is scalar
+    ga = gb = None  # a constant operand, such as all-ones row weights, takes no gradient
+    if a.requires_grad:
+        if av.ndim == 2:
+            ga = g @ bv.T if bv.ndim == 2 else np.outer(g, bv)
+        else:
+            ga = bv @ g if bv.ndim == 2 else g * bv  # g is scalar for a dot product
+    if b.requires_grad:
+        if av.ndim == 2:
+            gb = av.T @ g
+        else:
+            gb = np.outer(av, g) if bv.ndim == 2 else g * av
+    return (ga, gb)
 
 
 def _bk_concatenate(rec, g):
@@ -412,15 +422,16 @@ def _bk_concatenate(rec, g):
 def _bk_slice(rec, g):
     (a,) = rec.inputs
     out = np.zeros_like(a.values)
-    out[rec.ctx] = g  # basic indexing picks no element twice
+    out[rec.ctx] = g  # basic indexing, or an index array without repeats, picks no element twice
     return (out,)
 
 
 def _bk_affine(rec, g):
     x, W, _ = rec.inputs
+    # x is usually a constant input view, which takes no gradient
     if x.values.ndim == 1:
-        return (W.values.T @ g, np.outer(g, x.values), g)
-    return (g @ W.values, g.T @ x.values, g.sum(axis=0))
+        return (W.values.T @ g if x.requires_grad else None, np.outer(g, x.values), g)
+    return (g @ W.values if x.requires_grad else None, g.T @ x.values, g.sum(axis=0))
 
 
 def _bk_lstm(rec, g):

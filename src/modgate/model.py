@@ -34,7 +34,6 @@ class VideoForward:
     prediction: ad.Tensor  # class probability vector: softmax of ``logits``
     logits: ad.Tensor  # mean logits of the active segments; the loss reads these
     decisions: DecisionMatrix
-    segments: list
     executions: int
 
 
@@ -193,23 +192,14 @@ def forward_video(model, video, mode=EVAL_DETERMINISTIC, tau=1.0, rng=None, nois
         )
 
     executed_before = model.recog.executions
-    # the select column of each modality's straight-through carrier (training)
-    select = None if decisions.carriers is None else [c[:, 1] for c in decisions.carriers]
-    segments = []
-    for t in range(video.n_segments):
-        logits = [None] * len(model.modalities)
-        gates = None if select is None else [None] * len(model.modalities)
-        for k in range(len(model.modalities)):
-            if decisions.U[t, k] == 1:
-                logits[k] = model.recog.subnetwork_forward(k, video.recog_views[k][t])
-                if select is not None:
-                    gates[k] = select[k][t:t + 1]
-        segments.append(model.recog.fuse_segment(logits, decisions.U[t], gates))
-    video_logits = model.recog.video_logits(segments)
+    # one (1, C) logits row per executed cell, None where the cell is skipped
+    rows = [[None] * video.n_segments for _ in model.modalities]
+    for t, k in zip(*np.nonzero(decisions.U)):
+        rows[k][t] = model.recog.subnetwork_forward(k, video.recog_views[k][t:t + 1])
+    video_logits = model.recog.fuse_segment(rows, decisions.U, decisions.carriers)
     return VideoForward(
         prediction=ad.softmax(video_logits),
         logits=video_logits,
         decisions=decisions,
-        segments=segments,
         executions=model.recog.executions - executed_before,
     )

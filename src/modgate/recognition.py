@@ -4,12 +4,13 @@ Sub-networks only run for selected (segment, modality) cells; an execution
 counter backs that claim.  Fusion weights are global learnable scalars,
 softmax-renormalized over whichever subset of modalities was selected, so a
 segment's fused logits are always a convex combination of the logits that
-were actually computed.
+were actually computed.  A video is fused in one pass: its segments are
+grouped by the subset they selected (at most 2^K - 1 groups), each group
+takes one softmax, and each of its modalities one weighted sum of its
+logits rows, as in the combine step of sparsely-gated mixture-of-experts.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +19,6 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 
 FUSION_NAME = "recog.fusion"
-
-
-@dataclass
-class SegmentPrediction:
-    """Fused logits for one segment; ``active`` is False when all were skipped."""
-
-    logits: Tensor
-    active: bool
 
 
 class RecognitionNet:
@@ -77,46 +70,45 @@ class RecognitionNet:
         """Softmax of the fusion weights restricted to the selected modalities."""
         if not selected:
             raise ContractError("fusion over an empty selection")
-        w = self.params[FUSION_NAME]
-        picked = ad.concatenate([w[k : k + 1] for k in selected])
-        return ad.softmax(picked)
+        return ad.softmax(self.params[FUSION_NAME][np.array(selected)])
 
-    def fuse_segment(self, per_modality_logits, u_row, gates=None):
-        """Weighted sum of the selected modalities' logits for one segment.
+    def fuse_segment(self, rows, U, carriers=None):
+        """Video-level class logits, fusing every segment of the video at once.
 
-        ``per_modality_logits`` has an entry per modality, None where skipped.
-        ``u_row`` holds the hard decisions.  ``gates`` (training) supplies the
-        straight-through select components that multiply each term, carrying
-        gradient back to the policy.
+        Segment t's fused logits are ``sum_k g[t, k] softmax(w[S_t])_k l[t, k]``
+        over the subset ``S_t`` of modalities it selected; the video's logits
+        are their mean over the segments that selected anything, or zero (a
+        uniform prediction) when none did.  ``rows[k][t]`` is the (1, C)
+        logits row ``l[t, k]`` of an executed cell, None where skipped, and
+        ``U`` holds the (T, K) hard decisions.  ``carriers`` (training) are
+        the (T, 2) straight-through tensors whose select column is ``g``; at
+        evaluation ``g`` is 1.
+
+        Segments are grouped by the subset they selected, so there is one
+        softmax per subset and one weighted row sum per (subset, modality).
         """
-        selected = [k for k in range(len(u_row)) if u_row[k] == 1]
-        if not selected:
-            return SegmentPrediction(
-                logits=ad.constant(np.zeros(self.n_classes)), active=False
-            )
-        alphas = self.fusion_coefficients(selected)
-        total = None
-        for i, k in enumerate(selected):
-            logits = per_modality_logits[k]
-            if logits is None:
-                raise ContractError(f"modality {k} selected but its logits are missing")
-            term = ad.multiply(alphas[i : i + 1], logits)
-            if gates is not None and gates[k] is not None:
-                term = ad.multiply(gates[k], term)
-            total = term if total is None else ad.add(total, term)
-        return SegmentPrediction(logits=total, active=True)
-
-    def video_logits(self, segment_predictions):
-        """Video-level class logits: the mean of the active segments' logits.
-
-        With every segment skipped there is nothing to average; the logits are
-        zero, so the prediction falls back to the uniform distribution.
-        """
-        active = [sp.logits for sp in segment_predictions if sp.active]
-        if not active:
+        K = U.shape[1]
+        codes = U @ (1 << np.arange(K))  # the selected subset as a K-bit code
+        n_active = np.count_nonzero(codes)
+        if not n_active:
             return ad.constant(np.zeros(self.n_classes))
-        return ad.scale(ad.add_n(active), 1.0 / len(active))
+        terms = []
+        for code in sorted(set(codes.tolist()) - {0}):  # np.unique would load numpy.ma
+            segs = np.flatnonzero(codes == code)
+            selected = [k for k in range(K) if code >> k & 1]
+            alphas = self.fusion_coefficients(selected)
+            for i, k in enumerate(selected):
+                group = [rows[k][t] for t in segs]
+                if None in group:
+                    raise ContractError(f"modality {k} selected but its logits are missing")
+                block = group[0] if len(group) == 1 else ad.concatenate(group)
+                if carriers is None:
+                    weights = ad.constant(np.ones(len(segs)))
+                else:
+                    weights = carriers[k][segs, 1]
+                terms.append(ad.multiply(alphas[i:i + 1], ad.matmul(weights, block)))
+        return ad.scale(ad.add_n(terms), 1.0 / n_active)
 
-    def video_predict(self, segment_predictions):
-        """Video-level class probabilities: softmax of ``video_logits``."""
-        return ad.softmax(self.video_logits(segment_predictions))
+    def video_predict(self, rows, U, carriers=None):
+        """Video-level class probabilities: softmax of ``fuse_segment``."""
+        return ad.softmax(self.fuse_segment(rows, U, carriers))

@@ -19,6 +19,37 @@ from .objective import CostModel, total_loss
 from .policy import TRAIN_STOCHASTIC
 
 
+# The decisions of the full-loss check: every non-empty subset of two
+# modalities and a segment that selects nothing, so the fusion weights get
+# gradient across subsets and the mean leaves a segment out.
+PLANTED = np.array([[1, 0], [1, 1], [0, 0], [0, 1]])
+
+
+def planted_noise(U):
+    """Frozen (T, K, 2) noise adding 1 to the skip or select score that ``U`` holds.
+
+    Fresh heads have weights within 0.01 of zero, so their scores differ by
+    far less than 1 and a rollout with this noise decides ``U``, with relaxed
+    gates well inside (0, 1).
+    """
+    return (np.asarray(U)[..., None] == np.arange(2)).astype(float)
+
+
+def full_loss_case(seed=0):
+    """Model, video, frozen noise and cost of the full-loss check; it decides ``PLANTED``."""
+    mods = [
+        ModalitySpec("a", recog_dim=6, policy_dim=4, recog_cost=1.0, policy_cost=0.076),
+        ModalitySpec("b", recog_dim=5, policy_dim=3, recog_cost=0.45, policy_cost=0.076),
+    ]
+    T = len(PLANTED)
+    spec = GenSpec(modalities=mods, informative_probs=[0.5, 0.5], n_classes=3,
+                   n_videos=1, segments=T, seed=seed)
+    video = generate(spec).videos[0]
+    small = ModelConfig(extractor_hidden=6, feature_width=8, lstm_hidden=5, recog_hidden=7)
+    model = Model(mods, 3, config=small, seed=seed)
+    return model, video, planted_noise(PLANTED), CostModel(lams=[0.3, 0.2], train_segments=T)
+
+
 def check_grad_rules(seed=0):
     """Every backward rule against central differences, plus the full loss."""
     rng = np.random.default_rng([seed, 10])
@@ -46,6 +77,8 @@ def check_grad_rules(seed=0):
     check("concatenate", scalarized(lambda t: ad.concatenate([t, tail]), (7,)),
           ad.Tensor(rng.normal(size=4)))
     check("slice", scalarized(lambda t: t[1:3], (2,)), ad.Tensor(rng.normal(size=5)))
+    check("slice/index-array", scalarized(lambda t: t[np.array([0, 2, 3]), 1], (3,)),
+          ad.Tensor(rng.normal(size=(5, 2))))
     for kind in ("sigmoid", "tanh", "exp", "softmax", "log_softmax"):
         check(kind, scalarized(lambda t, k=kind: ad.forward_op(k, (t,)), (5,)),
               ad.Tensor(rng.normal(size=5)))
@@ -67,17 +100,7 @@ def check_grad_rules(seed=0):
         check(f"lstm/{name}", run, t)
 
     # the whole objective on a toy rollout with frozen noise and relaxed gates
-    mods = [
-        ModalitySpec("a", recog_dim=6, policy_dim=4, recog_cost=1.0, policy_cost=0.076),
-        ModalitySpec("b", recog_dim=5, policy_dim=3, recog_cost=0.45, policy_cost=0.076),
-    ]
-    spec = GenSpec(modalities=mods, informative_probs=[0.5, 0.5], n_classes=3,
-                   n_videos=1, segments=3, seed=seed)
-    video = generate(spec).videos[0]
-    small = ModelConfig(extractor_hidden=6, feature_width=8, lstm_hidden=5, recog_hidden=7)
-    model = Model(mods, 3, config=small, seed=seed)
-    noise = sample_gumbel((3, 2, 2), np.random.default_rng([seed, 11]))
-    cost = CostModel(lams=[0.3, 0.2], train_segments=3)
+    model, video, noise, cost = full_loss_case(seed)
 
     def full_loss(_):
         fw = forward_video(model, video, mode=TRAIN_STOCHASTIC, tau=1.0, noise=noise,

@@ -148,6 +148,19 @@ class TestBackward:
             backward(y)
         np.testing.assert_array_equal(t.grad, [0.0, 1.0, 2.0, 0.0])
 
+    @pytest.mark.parametrize("kind", ["affine", "matmul"])
+    def test_constant_operand_takes_no_gradient_product(self, kind):
+        """A constant input view or row-weight vector gets None, not a product nobody reads."""
+        W = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        with Tape() as tape:
+            if kind == "affine":
+                out = ad.affine(ad.constant(rng.normal(size=(3, 4))), W, ad.constant(np.zeros(2)))
+            else:
+                out = ad.matmul(ad.constant(np.ones(2)), W)
+        (rec,) = tape.records
+        grads = ad.BACKWARD_RULES[rec.kind](rec, np.ones(out.shape))
+        assert grads[0] is None and grads[1] is not None
+
 
 def _positive(shape):
     return np.abs(rng.normal(size=shape)) + 0.5
@@ -377,3 +390,16 @@ def test_lstm_backward_matches_finite_differences(T, H, seed):
     for t in (pre, Wh, h0, c0):
         rep = grad_check(f, t, tol=1e-5)
         assert rep.passed, rep.max_rel_error
+
+
+@settings(max_examples=25, deadline=None)
+@given(T=st.integers(1, 6), col=st.sampled_from([None, 0, 1]), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_index_array_slice_backward_matches_finite_differences(T, col, data, seed):
+    """Sorted unique rows of a (T, 2) tensor, alone or paired with a column."""
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, T - 1), min_size=1))))
+    key = rows if col is None else (rows, col)
+    x = Tensor(np.random.default_rng(seed).normal(size=(T, 2)))
+    f = _scalarized(lambda: ad.narrow(x, key), x.values[key].shape, seed)
+    rep = grad_check(f, x, tol=1e-6)
+    assert rep.passed, rep.max_rel_error
