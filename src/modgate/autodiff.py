@@ -6,10 +6,10 @@ active; ``backward`` replays the tape once in reverse and accumulates
 gradients additively across fan-out.  Broadcasting is deliberately limited to
 scalar-with-tensor so every backward rule stays small enough to audit by hand;
 anything else raises ``DimensionError``.  The one exception is ``affine``,
-whose bias is a single row added to every row of a ``(T, D)`` input; that
+whose bias is a single row added to every row of its ``(T, D)`` input; that
 broadcast lives inside the op and its own backward rule.  ``lstm`` is a
-sequence op: it runs a whole recurrence forward as one record, and its rule
-back-propagates through time.
+sequence op: it runs a whole recurrence over ``(T, 4H)`` rows forward as one
+record, and its rule back-propagates through time.
 
 A forward pass that produces NaN or Inf from finite inputs raises
 ``DomainError`` immediately: overflow is an error, not a silent state.
@@ -73,60 +73,8 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def size(self):
-        return self.values.size
-
-    def item(self):
-        if self.values.size != 1:
-            raise ContractError("item() requires a scalar tensor")
-        return float(self.values)
-
-    def detach(self):
-        """A constant copy of this tensor's current values."""
-        return Tensor(self.values.copy())
-
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return subtract(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return subtract(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return multiply(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __getitem__(self, key):
         return narrow(self, key)
-
-    def sum(self):
-        return reduce_sum(self)
-
-    def mean(self):
-        return reduce_mean(self)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -247,32 +195,27 @@ def narrow(t, key):
 
 
 def affine(x, W, b):
-    """``W @ x + b`` for a vector ``x``, or ``x @ W.T + b`` row by row for a (T, D) ``x``."""
+    """``x @ W.T + b`` for each row of a (T, D) ``x``."""
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     if (W.values.ndim != 2 or b.values.shape != W.values.shape[:1]
-            or x.values.ndim not in (1, 2) or x.values.shape[-1] != W.values.shape[1]):
+            or x.values.ndim != 2 or x.values.shape[1] != W.values.shape[1]):
         raise DimensionError(
             f"affine: x {x.values.shape}, W {W.values.shape}, b {b.values.shape} do not fit"
         )
-    if x.values.ndim == 1:
-        out = W.values @ x.values + b.values
-    else:
-        out = x.values @ W.values.T + b.values
-    return _emit("affine", (x, W, b), out)
+    return _emit("affine", (x, W, b), x.values @ W.values.T + b.values)
 
 
 def lstm(pre, Wh, h0, c0):
     """An LSTM recurrence over the rows of ``pre``, as one op; gate order i, f, g, o.
 
-    ``pre`` holds each step's input pre-activations, (T, 4H), or one step as
-    a (4H,) vector; step t adds ``Wh @ h_{t-1}`` to row t, starting from
-    ``h0`` and ``c0``.  Returns one row ``[h_t | c_t]`` per step, (T, 2H), or
-    a (2H,) vector for a one-step vector input.
+    ``pre`` holds each step's input pre-activations, (T, 4H); step t adds
+    ``Wh @ h_{t-1}`` to row t, starting from ``h0`` and ``c0``.  Returns one
+    row ``[h_t | c_t]`` per step, (T, 2H).
     """
     pre, Wh, h0, c0 = (_as_tensor(t) for t in (pre, Wh, h0, c0))
     H = h0.values.shape[0] if h0.values.ndim == 1 else -1
     if (H < 1 or c0.values.shape != (H,) or Wh.values.shape != (4 * H, H)
-            or pre.values.ndim not in (1, 2) or pre.values.shape[-1] != 4 * H):
+            or pre.values.ndim != 2 or pre.values.shape[1] != 4 * H):
         raise DimensionError(
             f"lstm: pre {pre.values.shape}, Wh {Wh.values.shape}, h0 {h0.values.shape}, "
             f"c0 {c0.values.shape} do not fit"
@@ -293,40 +236,13 @@ def lstm(pre, Wh, h0, c0):
             cells[t + 1] = a[1] * cells[t] + a[0] * a[2]
             hidden[t + 1] = a[3] * np.tanh(cells[t + 1])
     out = np.concatenate([hidden[1:], cells[1:]], axis=1)
-    if pre.values.ndim == 1:
-        out = out.reshape(2 * H)
     return _emit("lstm", (pre, Wh, h0, c0), out, ctx=(gates, hidden, cells))
-
-
-def sigmoid(t):
-    t = _as_tensor(t)
-    x = t.values
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return _emit("sigmoid", (t,), out, ctx=out)
 
 
 def tanh(t):
     t = _as_tensor(t)
     out = np.tanh(t.values)
     return _emit("tanh", (t,), out, ctx=out)
-
-
-def exp(t):
-    t = _as_tensor(t)
-    with np.errstate(over="ignore"):
-        out = np.exp(t.values)
-    return _emit("exp", (t,), out, ctx=out)
-
-
-def log(t):
-    t = _as_tensor(t)
-    if np.any(t.values <= 0.0):
-        raise DomainError("log: non-positive input")
-    return _emit("log", (t,), np.log(t.values))
 
 
 def softmax(t):
@@ -355,19 +271,12 @@ def reduce_sum(t):
     return _emit("sum", (t,), np.asarray(t.values.sum(), dtype=np.float64))
 
 
-def reduce_mean(t):
-    t = _as_tensor(t)
-    if t.values.size == 0:
-        raise DimensionError("mean: empty tensor")
-    return _emit("mean", (t,), np.asarray(t.values.mean(), dtype=np.float64))
-
-
 def add_n(tensors):
     """Sum a non-empty sequence of same-shaped tensors."""
     tensors = list(tensors)
     if not tensors:
         raise DimensionError("add_n: need at least one tensor")
-    total = tensors[0] if isinstance(tensors[0], Tensor) else _as_tensor(tensors[0])
+    total = _as_tensor(tensors[0])
     for t in tensors[1:]:
         total = add(total, t)
     return total
@@ -429,14 +338,12 @@ def _bk_slice(rec, g):
 def _bk_affine(rec, g):
     x, W, _ = rec.inputs
     # x is usually a constant input view, which takes no gradient
-    if x.values.ndim == 1:
-        return (W.values.T @ g if x.requires_grad else None, np.outer(g, x.values), g)
     return (g @ W.values if x.requires_grad else None, g.T @ x.values, g.sum(axis=0))
 
 
 def _bk_lstm(rec, g):
     """Back-propagation through time, last step first."""
-    pre, Wh, _, _ = rec.inputs
+    Wh = rec.inputs[1]
     gates, hidden, cells = rec.ctx
     T, _, H = gates.shape
     i, f, c, o = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
@@ -459,26 +366,12 @@ def _bk_lstm(rec, g):
         d_c = d_c * f[t]
         d_h = d.reshape(4 * H) @ W
     d_pre = d_pre.reshape(T, 4 * H)
-    return (d_pre.reshape(pre.values.shape), d_pre.T @ hidden[:-1], d_h, d_c)
-
-
-def _bk_sigmoid(rec, g):
-    s = rec.ctx
-    return (g * s * (1.0 - s),)
+    return (d_pre, d_pre.T @ hidden[:-1], d_h, d_c)
 
 
 def _bk_tanh(rec, g):
     y = rec.ctx
     return (g * (1.0 - y * y),)
-
-
-def _bk_exp(rec, g):
-    return (g * rec.ctx,)
-
-
-def _bk_log(rec, g):
-    (a,) = rec.inputs
-    return (g / a.values,)
 
 
 def _bk_softmax(rec, g):
@@ -496,11 +389,6 @@ def _bk_sum(rec, g):
     return (np.full(a.values.shape, float(g)),)
 
 
-def _bk_mean(rec, g):
-    (a,) = rec.inputs
-    return (np.full(a.values.shape, float(g) / a.values.size),)
-
-
 # Dispatch table; tests corrupt entries on purpose to prove the verifier notices.
 BACKWARD_RULES = {
     "add": _bk_add,
@@ -512,14 +400,10 @@ BACKWARD_RULES = {
     "slice": _bk_slice,
     "affine": _bk_affine,
     "lstm": _bk_lstm,
-    "sigmoid": _bk_sigmoid,
     "tanh": _bk_tanh,
-    "exp": _bk_exp,
-    "log": _bk_log,
     "softmax": _bk_softmax,
     "log_softmax": _bk_log_softmax,
     "sum": _bk_sum,
-    "mean": _bk_mean,
 }
 
 _FORWARD = {
@@ -532,14 +416,10 @@ _FORWARD = {
     "slice": narrow,
     "affine": affine,
     "lstm": lstm,
-    "sigmoid": sigmoid,
     "tanh": tanh,
-    "exp": exp,
-    "log": log,
     "softmax": softmax,
     "log_softmax": log_softmax,
     "sum": reduce_sum,
-    "mean": reduce_mean,
 }
 
 OP_KINDS = tuple(sorted(_FORWARD))

@@ -16,7 +16,7 @@ from .datagen import subsample
 from .errors import ConfigError, InputError
 from .model import Model, ModelConfig, check_compatible, forward_video
 from .objective import simulated_compute
-from .policy import EVAL_DETERMINISTIC, EVAL_STOCHASTIC, TRAIN_STOCHASTIC, ROLLOUT_MODES
+from .policy import EVAL_DETERMINISTIC, TRAIN_STOCHASTIC, ROLLOUT_MODES
 from .training import all_on, train, train_forced
 
 
@@ -95,13 +95,9 @@ def evaluate(model, dataset, eval_segments=10, mode=EVAL_DETERMINISTIC, seed=0,
     decisions = []
     for i, video in enumerate(dataset.videos):
         clip = subsample(video, uniform_segment_indices(video.n_segments, eval_segments))
-        rng = np.random.default_rng([seed, 4000, i])
-        if forced_gates is not None:
-            fw = forward_video(model, clip, forced_gates=forced_gates((clip.n_segments, K), rng))
-        elif mode == EVAL_STOCHASTIC:
-            fw = forward_video(model, clip, mode=mode, rng=rng)
-        else:
-            fw = forward_video(model, clip, mode=mode)
+        rng = np.random.default_rng([seed, 4000, i])  # a deterministic rollout never reads it
+        gates = None if forced_gates is None else forced_gates((clip.n_segments, K), rng)
+        fw = forward_video(model, clip, mode=mode, rng=rng, forced_gates=gates)
         n_correct += int(np.argmax(fw.prediction.values) == video.label)
         decisions.append(fw.decisions.U)
     executions = model.recog.executions - executed_before

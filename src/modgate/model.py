@@ -109,12 +109,12 @@ def infer_architecture(state):
         raise MismatchError("checkpoint does not contain a contiguous set of sub-networks")
     K = len(sub_ids)
 
-    def shape(name):  # every parameter read here is a weight matrix
+    def shape(name):  # every parameter read here is a non-empty weight matrix
         if name not in state:
             raise MismatchError(f"checkpoint lacks parameter {name!r}")
-        if state[name].ndim != 2:
+        if state[name].ndim != 2 or 0 in state[name].shape:
             raise MismatchError(f"checkpoint parameter {name!r} has shape {state[name].shape}, "
-                                "expected a matrix")
+                                "expected a matrix with positive extents")
         return state[name].shape
 
     recog_dims = [shape(f"recog.sub{k}.W1")[1] for k in range(K)]

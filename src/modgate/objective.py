@@ -38,14 +38,6 @@ class CostModel:
             raise ConfigError("train_segments must be positive")
 
 
-def efficiency_cost(u_column, correct, lam, cost):
-    """Plain-number usage penalty for one modality (reporting/oracle path)."""
-    if not correct:
-        return lam * cost.gamma
-    frac = float(np.sum(u_column)) / cost.train_segments
-    return lam * frac * frac
-
-
 def cross_entropy(logits, label):
     """-log softmax(logits)[label], from ``log_softmax``: no probability is ever logged.
 

@@ -27,27 +27,18 @@ ROLLOUT_MODES = (TRAIN_STOCHASTIC, EVAL_DETERMINISTIC, EVAL_STOCHASTIC)
 
 
 @dataclass
-class PolicyState:
-    """LSTM recurrent state: hidden ``h`` and cell ``o``, as vectors or as (T, H) rows."""
-
-    h: Tensor
-    o: Tensor
-
-
-@dataclass
 class DecisionMatrix:
     """Per-video selection decisions and their relaxed companions.
 
-    ``U`` holds the hard 0/1 decisions, ``P`` the relaxed probability rows
-    that produced them, and ``logits`` the raw head scores.  ``carriers``
-    (training only) hold one (T, 2) straight-through tensor per modality;
-    its select column (index 1) gates that modality's recognition path.
-    Under joint skip every modality holds the same tensor.
+    ``U`` holds the hard 0/1 decisions and ``P`` the relaxed probability
+    rows that produced them.  ``carriers`` (training only) hold one (T, 2)
+    straight-through tensor per modality; its select column (index 1) gates
+    that modality's recognition path.  Under joint skip every modality holds
+    the same tensor.
     """
 
     U: np.ndarray  # (T, K) int8
     P: np.ndarray  # (T, K, 2)
-    logits: np.ndarray  # (T, K, 2)
     carriers: list | None = None  # [k] -> Tensor(T, 2)
 
     @property
@@ -66,7 +57,7 @@ def forced_decisions(U):
     P = np.zeros((T, K, 2))
     P[..., 1] = U
     P[..., 0] = 1.0 - U
-    return DecisionMatrix(U=U.astype(np.int8), P=P, logits=np.zeros((T, K, 2)))
+    return DecisionMatrix(U=U.astype(np.int8), P=P)
 
 
 def _np_softmax_pair(z):
@@ -148,8 +139,8 @@ class PolicyNet:
     def extract_joint_feature(self, policy_views):
         """Per-modality tanh extractors, concatenated, through two tanh layers.
 
-        Each view is one segment's vector or a (T, width) matrix with one row
-        per segment; the feature then has one row per segment too.
+        Each view is a (T, width) matrix with one row per segment; the
+        feature has one row per segment too.
         """
         if len(policy_views) != len(self.modalities):
             raise ContractError(
@@ -163,24 +154,19 @@ class PolicyNet:
         joint = ad.tanh(self._affine("policy.extractor.fc1", joint))
         return ad.tanh(self._affine("policy.extractor.fc2", joint))
 
-    def initial_state(self):
-        zeros = np.zeros(self.n_hidden)
-        return PolicyState(h=ad.constant(zeros), o=ad.constant(zeros.copy()))
+    def lstm_step(self, feature):
+        """The LSTM over the (T, F) rows of ``feature``, from zero state, as one ``lstm`` op.
 
-    def lstm_step(self, feature, state):
-        """LSTM updates from ``state``, one per row of ``feature``; gate order i, f, g, o.
-
-        A feature vector is one step and gives state vectors; a (T, F) matrix
-        runs T steps as one ``lstm`` op and gives (T, H) rows, the state after
-        each step.
+        Gate order i, f, g, o.  Returns the (T, H) hidden rows, the hidden
+        state after each step.
         """
         H = self.n_hidden
         pre = ad.affine(feature, self.params["policy.lstm.Wx"], self.params["policy.lstm.b"])
-        out = ad.lstm(pre, self.params["policy.lstm.Wh"], state.h, state.o)
-        return PolicyState(h=out[..., :H], o=out[..., H:])
+        zeros = ad.constant(np.zeros(H))
+        return ad.lstm(pre, self.params["policy.lstm.Wh"], zeros, zeros)[:, :H]
 
     def decision_heads(self, summary):
-        """Skip/select scores per head: one (2,) vector, or (T, 2) rows for (T, width)."""
+        """Skip/select scores per head, (T, 2) rows for the (T, width) ``summary``."""
         return [self._affine(f"policy.head{k}", summary) for k in range(self.n_heads)]
 
     def rollout(self, video, tau=1.0, mode=EVAL_DETERMINISTIC, rng=None, noise=None,
@@ -222,12 +208,11 @@ class PolicyNet:
                 raise ContractError(f"noise shape {noise.shape} != {(T, self.n_heads, 2)}")
         U = np.zeros((T, K), dtype=np.int8)
         P = np.zeros((T, K, 2))
-        Z = np.zeros((T, K, 2))
         carriers = [None] * K if train else None
 
         summary = self.extract_joint_feature(video.policy_views)
         if not self.no_lstm:
-            summary = self.lstm_step(summary, self.initial_state()).h
+            summary = self.lstm_step(summary)
         for j, z in enumerate(self.decision_heads(summary)):
             g = None if noise is None else noise[:, j]
             if train and soft_gates:
@@ -244,7 +229,6 @@ class PolicyNet:
             for k in range(K) if self.joint_skip else (j,):
                 U[:, k] = u
                 P[:, k] = p
-                Z[:, k] = z.values
                 if train:
                     carriers[k] = carrier
-        return DecisionMatrix(U=U, P=P, logits=Z, carriers=carriers)
+        return DecisionMatrix(U=U, P=P, carriers=carriers)

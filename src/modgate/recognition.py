@@ -53,11 +53,8 @@ class RecognitionNet:
     def parameters(self):
         return dict(self.params)
 
-    def reset_executions(self):
-        self.executions = 0
-
     def subnetwork_forward(self, k, x):
-        """Class logits for one modality's segment view; counts as one execution."""
+        """Class logits, (1, C), for one cell's (1, D) view row; counts as one execution."""
         if not 0 <= k < len(self.modalities):
             raise ContractError(f"no sub-network {k}")
         p = self.params

@@ -177,13 +177,15 @@ def _frozen(params):
             p.requires_grad = flag
 
 
-def _run_epoch(model, videos, cfg, cost, epoch, phase, tau, optimizer, group, *,
-               stochastic, policy_loss, forced=None):
+def _run_epoch(model, videos, cfg, cost, epoch, phase, tau, optimizer, group, forced=None):
     """One pass over the data; returns the trace row.
 
-    ``group`` is the parameter dict the optimizer may touch.  Every other
-    parameter is frozen for the epoch (``requires_grad`` off, restored on
-    exit), so it stays off the tape and keeps its values bit for bit.
+    With a ``cost`` the policy rolls out train-stochastic and each video pays
+    ``total_loss``; without one it rolls out deterministically and pays the
+    cross-entropy.  ``group`` is the parameter dict the optimizer may touch.
+    Every other parameter is frozen for the epoch (``requires_grad`` off,
+    restored on exit), so it stays off the tape and keeps its values bit for
+    bit.
     ``forced`` overrides the policy with a callable ``(shape, rng) -> U`` for
     warm-up and baseline schedules.
     """
@@ -208,14 +210,14 @@ def _run_epoch(model, videos, cfg, cost, epoch, phase, tau, optimizer, group, *,
                     clip = subsample(video, positions)
                     if forced is not None:
                         fw = forward_video(model, clip, forced_gates=forced((n_take, K), rng))
-                    elif stochastic:
+                    elif cost is not None:
                         noise = sample_gumbel((n_take, model.policy.n_heads, 2), rng)
                         fw = forward_video(
                             model, clip, mode=TRAIN_STOCHASTIC, tau=tau, noise=noise
                         )
                     else:
                         fw = forward_video(model, clip, mode=EVAL_DETERMINISTIC)
-                    if policy_loss:
+                    if cost is not None:
                         loss = total_loss(fw.logits, video.label, fw.decisions, cost)
                     else:
                         loss = cross_entropy(fw.logits, video.label)
@@ -257,8 +259,7 @@ def warmup(model, data, cfg, opt=None, rows=None, epoch_offset=0):
     for e in range(cfg.warmup_epochs):
         row = _run_epoch(
             model, videos, cfg, None, epoch_offset + e, "warmup", cfg.schedule.tau0,
-            opt, model.recog_parameters(), stochastic=False, policy_loss=False,
-            forced=all_on,
+            opt, model.recog_parameters(), forced=all_on,
         )
         if rows is not None:
             rows.append(row)
@@ -285,7 +286,6 @@ def alternate(model, data, cfg, cost=None, policy_opt=None, recog_opt=None,
             model, videos, cfg, cost, epoch_offset + e, "alternate", tau,
             policy_opt if policy_turn else recog_opt,
             model.policy_parameters() if policy_turn else model.recog_parameters(),
-            stochastic=True, policy_loss=True,
         )
         if rows is not None:
             rows.append(row)
@@ -308,7 +308,7 @@ def finetune(model, data, cfg, opt=None, rows=None, epoch_offset=0):
     for e in range(cfg.finetune_epochs):
         row = _run_epoch(
             model, videos, cfg, None, epoch_offset + e, "finetune", tau,
-            opt, model.recog_parameters(), stochastic=False, policy_loss=False,
+            opt, model.recog_parameters(),
         )
         if rows is not None:
             rows.append(row)
@@ -362,8 +362,7 @@ def train_forced(model, data, cfg, gate_fn, rows=None):
     for e in range(cfg.total_epochs):
         row = _run_epoch(
             model, videos, cfg, None, e, "forced", cfg.schedule.tau0,
-            opt, model.recog_parameters(), stochastic=False, policy_loss=False,
-            forced=gate_fn,
+            opt, model.recog_parameters(), forced=gate_fn,
         )
         if rows is not None:
             rows.append(row)

@@ -79,19 +79,15 @@ def check_grad_rules(seed=0):
     check("slice", scalarized(lambda t: t[1:3], (2,)), ad.Tensor(rng.normal(size=5)))
     check("slice/index-array", scalarized(lambda t: t[np.array([0, 2, 3]), 1], (3,)),
           ad.Tensor(rng.normal(size=(5, 2))))
-    for kind in ("sigmoid", "tanh", "exp", "softmax", "log_softmax"):
+    for kind in ("tanh", "softmax", "log_softmax"):
         check(kind, scalarized(lambda t, k=kind: ad.forward_op(k, (t,)), (5,)),
               ad.Tensor(rng.normal(size=5)))
-    check("log", scalarized(ad.log, (5,)), ad.Tensor(rng.uniform(0.5, 2.0, size=5)))
     check("sum", ad.reduce_sum, ad.Tensor(rng.normal(size=5)))
-    check("mean", ad.reduce_mean, ad.Tensor(rng.normal(size=5)))
 
-    # affine on one vector and on (T, D) rows, into all three inputs
-    for x_shape, out_shape in (((4,), (3,)), ((5, 4), (5, 3))):
-        x, W, b = (ad.Tensor(rng.normal(size=s)) for s in (x_shape, (3, 4), (3,)))
-        for name, t in (("x", x), ("W", W), ("b", b)):
-            check(f"affine/{len(x_shape)}d/{name}",
-                  scalarized(lambda _, x=x, W=W, b=b: ad.affine(x, W, b), out_shape), t)
+    # affine on (T, D) rows, into all three inputs
+    x, W, b = (ad.Tensor(rng.normal(size=s)) for s in ((5, 4), (3, 4), (3,)))
+    for name, t in (("x", x), ("W", W), ("b", b)):
+        check(f"affine/{name}", scalarized(lambda _: ad.affine(x, W, b), (5, 3)), t)
     # lstm over T = 4 steps from a non-zero state, into all four inputs
     H = 3
     pre, Wh, h0, c0 = (ad.Tensor(rng.normal(size=s)) for s in ((4, 4 * H), (4 * H, H), H, H))

@@ -1,5 +1,7 @@
 """Tests for the float64 reverse-mode autodiff core."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,10 @@ from modgate import autodiff as ad
 from modgate import verify
 from modgate.autodiff import Tape, Tensor, backward, grad_check
 from modgate.errors import ContractError, DimensionError, DomainError
+from modgate.model import forward_video
+from modgate.objective import cross_entropy, total_loss
+from modgate.policy import TRAIN_STOCHASTIC
+from modgate.verify import PLANTED
 
 rng = np.random.default_rng(42)
 
@@ -91,13 +97,9 @@ class TestErrors:
         with pytest.raises(DimensionError):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
-    def test_log_of_nonpositive_raises(self):
-        with pytest.raises(DomainError):
-            ad.log(Tensor([1.0, 0.0]))
-
     def test_overflow_is_an_error_not_inf(self):
-        with pytest.raises(DomainError):
-            ad.exp(Tensor([1000.0]))
+        with pytest.raises(DomainError), np.errstate(over="ignore"):
+            ad.multiply(Tensor([1e200]), Tensor([2e200]))
 
     def test_backward_from_nonscalar_raises(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
@@ -113,18 +115,6 @@ class TestBackward:
         with Tape():
             backward(ad.reduce_sum(t))
         np.testing.assert_array_equal(t.grad, np.ones((2, 3)))
-
-    def test_mean_of_square_gradient(self):
-        t = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        with Tape():
-            backward(ad.reduce_mean(ad.multiply(t, t)))
-        np.testing.assert_allclose(t.grad, [2.0 / 3.0, 4.0 / 3.0, 2.0], atol=1e-12)
-
-    def test_sigmoid_gradient_at_zero(self):
-        t = Tensor(0.0, requires_grad=True)
-        with Tape():
-            backward(ad.reduce_sum(ad.sigmoid(t)))
-        np.testing.assert_allclose(t.grad, 0.25, atol=1e-15)
 
     def test_fanout_gradients_accumulate(self):
         """y = x*x via two uses of x must match the closed form 2x."""
@@ -162,22 +152,6 @@ class TestBackward:
         assert grads[0] is None and grads[1] is not None
 
 
-def _positive(shape):
-    return np.abs(rng.normal(size=shape)) + 0.5
-
-
-PER_KIND_CASES = []
-for trial in range(10):
-    PER_KIND_CASES.extend(
-        [
-            ("add", lambda s=trial: (rng.normal(size=(4,)), rng.normal(size=(4,)))),
-            ("subtract", lambda s=trial: (rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))),
-            ("multiply", lambda s=trial: (rng.normal(size=(5,)), rng.normal(size=(5,)))),
-            ("matmul", lambda s=trial: (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))),
-        ]
-    )
-
-
 class TestFiniteDifferences:
     """Analytic gradients against central differences for every op kind."""
 
@@ -206,7 +180,7 @@ class TestFiniteDifferences:
             rb = grad_check(lambda t: scalar_through(ad.matmul, a, t), b, tol=1e-5)
             assert ra.passed and rb.passed
 
-    @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "softmax", "log_softmax"])
+    @pytest.mark.parametrize("kind", ["tanh", "softmax", "log_softmax"])
     def test_unary_smooth(self, kind):
         op = getattr(ad, kind)
         for _ in range(10):
@@ -214,18 +188,10 @@ class TestFiniteDifferences:
             rep = grad_check(lambda t: scalar_through(op, t), x, tol=1e-5)
             assert rep.passed, f"{kind}: rel err {rep.max_rel_error:.2e}"
 
-    def test_exp_and_log(self):
-        for _ in range(10):
-            x = Tensor(rng.normal(size=(4,)) * 0.5)
-            assert grad_check(lambda t: scalar_through(ad.exp, t), x, tol=1e-5).passed
-            p = Tensor(_positive((4,)))
-            assert grad_check(lambda t: scalar_through(ad.log, t), p, tol=1e-5).passed
-
     def test_reductions_and_scale(self):
         for _ in range(10):
             x = Tensor(rng.normal(size=(3, 3)))
             assert grad_check(ad.reduce_sum, x, tol=1e-5).passed
-            assert grad_check(ad.reduce_mean, x, tol=1e-5).passed
             assert grad_check(lambda t: ad.reduce_sum(ad.scale(t, -1.7)), x, tol=1e-5).passed
 
     def test_concatenate_and_slice(self):
@@ -263,23 +229,58 @@ class TestForwardOpDispatch:
             "affine": ([Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))), Tensor(np.ones(4))], {}),
             "lstm": ([Tensor(np.ones((3, 8))), Tensor(np.ones((8, 2))), Tensor(np.zeros(2)),
                       Tensor(np.zeros(2))], {}),
-            "sigmoid": ([Tensor([0.0])], {}),
             "tanh": ([Tensor([0.0])], {}),
-            "exp": ([Tensor([0.0])], {}),
-            "log": ([Tensor([1.0])], {}),
             "softmax": ([Tensor([0.0, 1.0])], {}),
             "log_softmax": ([Tensor([0.0, 1.0])], {}),
             "sum": ([Tensor([1.0, 2.0])], {}),
-            "mean": ([Tensor([1.0, 2.0])], {}),
         }
         assert set(samples) == set(ad.OP_KINDS)
         for kind, (inputs, kwargs) in samples.items():
             out = ad.forward_op(kind, inputs, **kwargs)
             assert isinstance(out, Tensor)
 
+    def test_every_kind_is_recorded_by_production_code(self):
+        """A warm-up forward with cross-entropy plus a training forward with the full
+        loss, relabelled to its own prediction so the usage penalty runs, record
+        every kind the engine offers."""
+        model, video, noise, cost = verify.full_loss_case(0)
+        kinds = set()
+        with Tape() as tape:
+            fw = forward_video(model, video, forced_gates=np.ones(PLANTED.shape, dtype=int))
+            cross_entropy(fw.logits, video.label)
+        kinds.update(rec.kind for rec in tape.records)
+
+        def train_forward():
+            return forward_video(model, video, mode=TRAIN_STOCHASTIC, tau=1.0, noise=noise)
+
+        own = replace(video, label=int(np.argmax(train_forward().logits.values)))
+        with Tape() as tape:
+            fw = train_forward()
+            total_loss(fw.logits, own.label, fw.decisions, cost)
+        kinds.update(rec.kind for rec in tape.records)
+        assert kinds == set(ad.OP_KINDS)
+
     def test_unknown_kind_raises(self):
         with pytest.raises(ContractError):
             ad.forward_op("convolve", [Tensor([1.0])])
+
+
+def _lstm_reference(pre, Wh, h0, c0):
+    """The recurrence in plain numpy, one cell per step: (T, 2H) rows ``[h_t | c_t]``."""
+    H = h0.shape[0]
+    h, c, rows = h0, c0, []
+    for z in pre:
+        z = z + Wh @ h
+        i, f, o = (1.0 / (1.0 + np.exp(-z[s:s + H])) for s in (0, H, 3 * H))
+        c = f * c + i * np.tanh(z[2 * H:3 * H])
+        h = o * np.tanh(c)
+        rows.append(np.concatenate([h, c]))
+    return np.array(rows)
+
+
+def _sigmoid(z):
+    """sigmoid(z) = (1 + tanh(z / 2)) / 2, from the engine's own ops."""
+    return ad.add(ad.scale(ad.tanh(ad.scale(z, 0.5)), 0.5), ad.constant(0.5))
 
 
 def _lstm_by_steps(pre, Wh, h0, c0):
@@ -288,8 +289,8 @@ def _lstm_by_steps(pre, Wh, h0, c0):
     h, c, rows = h0, c0, []
     for t in range(pre.values.shape[0]):
         z = ad.add(pre[t], ad.matmul(Wh, h))
-        i, f = ad.sigmoid(z[0:H]), ad.sigmoid(z[H:2 * H])
-        g, o = ad.tanh(z[2 * H:3 * H]), ad.sigmoid(z[3 * H:])
+        i, f = _sigmoid(z[0:H]), _sigmoid(z[H:2 * H])
+        g, o = ad.tanh(z[2 * H:3 * H]), _sigmoid(z[3 * H:])
         c = ad.add(ad.multiply(f, c), ad.multiply(i, g))
         h = ad.multiply(o, ad.tanh(c))
         rows.append(ad.concatenate([h, c]))
@@ -297,34 +298,27 @@ def _lstm_by_steps(pre, Wh, h0, c0):
 
 
 class TestSequenceOps:
-    def test_affine_rows_match_the_vector_form(self):
+    def test_affine_rows_match_numpy(self):
         X, W, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), rng.normal(size=5)
         rows = ad.affine(X, W, b).values
         for t in range(4):
-            np.testing.assert_allclose(rows[t], ad.affine(X[t], W, b).values, rtol=1e-14)
             np.testing.assert_allclose(rows[t], W @ X[t] + b, rtol=1e-14)
 
     def test_affine_shape_errors(self):
         with pytest.raises(DimensionError):
-            ad.affine(np.ones(4), np.ones((5, 3)), np.ones(5))
+            ad.affine(np.ones((2, 4)), np.ones((5, 3)), np.ones(5))
         with pytest.raises(DimensionError):
-            ad.affine(np.ones(3), np.ones((5, 3)), np.ones(4))
+            ad.affine(np.ones((2, 3)), np.ones((5, 3)), np.ones(4))
+        with pytest.raises(DimensionError):  # rows only: a vector is not a (1, D) matrix
+            ad.affine(np.ones(3), np.ones((5, 3)), np.ones(5))
 
     def test_lstm_matches_the_step_by_step_cell(self):
         H, T = 3, 5
         pre, Wh = Tensor(rng.normal(size=(T, 4 * H))), Tensor(rng.normal(size=(4 * H, H)))
         h0, c0 = Tensor(rng.normal(size=H)), Tensor(rng.normal(size=H))
         fused = ad.lstm(pre, Wh, h0, c0).values
-        for t, row in enumerate(_lstm_by_steps(pre, Wh, h0, c0)):
-            np.testing.assert_allclose(fused[t], row.values, rtol=1e-13, atol=1e-15)
-
-    def test_lstm_one_step_vector_form(self):
-        H = 2
-        pre, Wh = rng.normal(size=4 * H), rng.normal(size=(4 * H, H))
-        h0, c0 = rng.normal(size=H), rng.normal(size=H)
-        vec = ad.lstm(pre, Wh, h0, c0)
-        assert vec.shape == (2 * H,)
-        np.testing.assert_array_equal(vec.values, ad.lstm(pre[None], Wh, h0, c0).values[0])
+        for t, row in enumerate(_lstm_reference(pre.values, Wh.values, h0.values, c0.values)):
+            np.testing.assert_allclose(fused[t], row, rtol=1e-13, atol=1e-15)
 
     def test_lstm_gradient_matches_the_step_by_step_cell(self):
         H, T = 2, 4
@@ -347,19 +341,21 @@ class TestSequenceOps:
             ad.lstm(np.ones((3, 8)), np.ones((8, 3)), np.zeros(2), np.zeros(2))
         with pytest.raises(DimensionError):
             ad.lstm(np.ones((3, 7)), np.ones((8, 2)), np.zeros(2), np.zeros(2))
+        with pytest.raises(DimensionError):  # rows only: one step is a (1, 4H) matrix
+            ad.lstm(np.ones(8), np.ones((8, 2)), np.zeros(2), np.zeros(2))
 
-    @pytest.mark.parametrize("kind", ["affine", "lstm"])
+    @pytest.mark.parametrize("kind", ad.OP_KINDS)
     def test_verify_notices_a_broken_rule(self, kind, monkeypatch):
         rule = ad.BACKWARD_RULES[kind]
 
         def crooked(rec, g):
-            grads = list(rule(rec, g))
-            grads[1] = grads[1] * 1.01  # the weight matrix of either op
-            return tuple(grads)
+            return tuple(None if gi is None else gi * 1.01 for gi in rule(rec, g))
 
         monkeypatch.setitem(ad.BACKWARD_RULES, kind, crooked)
         passed, detail = verify.check_grad_rules(seed=0)
-        assert not passed and f"{kind}/" in detail
+        failed = {entry.split(" ")[0].split("/")[0]
+                  for entry in detail.removeprefix("mismatched rules: ").split(", ")}
+        assert not passed and kind in failed
 
 
 def _scalarized(make, shape, seed):
@@ -368,14 +364,12 @@ def _scalarized(make, shape, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(rows=st.integers(0, 4), d=st.integers(1, 4), e=st.integers(1, 4),
+@given(rows=st.integers(1, 4), d=st.integers(1, 4), e=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_affine_backward_matches_finite_differences(rows, d, e, seed):
-    """``rows`` 0 is the vector form; otherwise a (rows, d) matrix."""
     gen = np.random.default_rng(seed)
-    x_shape = (d,) if rows == 0 else (rows, d)
-    x, W, b = (Tensor(gen.normal(size=s)) for s in (x_shape, (e, d), (e,)))
-    f = _scalarized(lambda: ad.affine(x, W, b), x_shape[:-1] + (e,), seed)
+    x, W, b = (Tensor(gen.normal(size=s)) for s in ((rows, d), (e, d), (e,)))
+    f = _scalarized(lambda: ad.affine(x, W, b), (rows, e), seed)
     for t in (x, W, b):
         rep = grad_check(f, t, tol=1e-6)
         assert rep.passed, rep.max_rel_error

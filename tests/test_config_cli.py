@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modgate import autodiff as ad
-from modgate.checkpoint import CHECKPOINT_MAGIC, save_checkpoint
+from modgate.checkpoint import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from modgate.cli import main
 from modgate.config import build_settings, default_config_text, parse_config
 from modgate.datagen import DATASET_MAGIC, GenSpec, load_dataset
@@ -248,6 +248,25 @@ class TestCliEval:
         assert main(["eval", "--checkpoint", str(partial), "--data", str(data),
                      "--seed", "3"]) == 4
         assert "policy.extractor.mod0.W" in capsys.readouterr().err
+
+    def test_zero_width_parameter_is_mismatch(self, cli_workspace, tmp_path, capsys):
+        root, cfg, data, prefix = cli_workspace
+        state = load_checkpoint(str(prefix) + ".final")
+        state["recog.sub0.W1"] = np.zeros((0, 24))
+        empty = tmp_path / "empty.ckpt"
+        save_checkpoint(state, str(empty))
+        assert main(["eval", "--checkpoint", str(empty), "--data", str(data),
+                     "--seed", "3"]) == 4
+        assert "recog.sub0.W1" in capsys.readouterr().err
+
+    def test_huge_parameter_is_format_error(self, cli_workspace, tmp_path):
+        root, cfg, data, prefix = cli_workspace
+        name = b"recog.sub0.W1"
+        huge = tmp_path / "huge.ckpt"
+        huge.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(name)) + name
+                         + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1) + bytes(16))
+        assert main(["eval", "--checkpoint", str(huge), "--data", str(data),
+                     "--seed", "3"]) == 3
 
     def test_wrong_world_mismatch(self, cli_workspace, tmp_path):
         root, cfg, data, prefix = cli_workspace

@@ -1,11 +1,12 @@
 """Tests for the synthetic generator and the binary dataset/checkpoint formats."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from modgate.checkpoint import load_checkpoint, save_checkpoint
+from modgate.checkpoint import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from modgate.datagen import (
     DATASET_MAGIC,
     Dataset,
@@ -248,6 +249,22 @@ class TestCheckpointFormat:
         path.write_bytes(raw[:-8])
         with pytest.raises(DataFormatError, match="offset"):
             load_checkpoint(path)
+
+    def test_huge_declared_extents_fail_before_allocating(self, tmp_path):
+        """A 2^32-1 x 2^32-1 parameter is checked against the file length first."""
+        name = b"recog.sub0.W1"
+        blob = CHECKPOINT_MAGIC + struct.pack("<I", len(name)) + name
+        blob += struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1) + bytes(16)
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="recog.sub0.W1 values"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_scalar_rank_zero_supported(self, tmp_path):
         path = tmp_path / "c.bin"

@@ -14,7 +14,6 @@ from modgate.objective import (
     CostModel,
     batch_mean,
     cross_entropy,
-    efficiency_cost,
     full_compute,
     simulated_compute,
     total_loss,
@@ -25,6 +24,14 @@ from modgate.policy import TRAIN_STOCHASTIC, forced_decisions
 def tiny_model(seed=3):
     cfg = ModelConfig(extractor_hidden=4, feature_width=6, lstm_hidden=5, recog_hidden=8)
     return Model(default_modalities(), n_classes=4, config=cfg, seed=seed)
+
+
+def efficiency_cost(u_column, correct, lam, cost):
+    """Plain-number usage penalty for one modality: the oracle for ``total_loss``."""
+    if not correct:
+        return lam * cost.gamma
+    frac = float(np.sum(u_column)) / cost.train_segments
+    return lam * frac * frac
 
 
 class TestEfficiencyCost:

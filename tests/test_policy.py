@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from modgate import autodiff as ad
-from modgate.autodiff import Tape, Tensor, backward
+from modgate.autodiff import Tape, backward
 from modgate.datagen import GenSpec, generate
 from modgate.errors import ContractError, DomainError
-from modgate.gumbel import sample_gumbel
 from modgate.modality import default_modalities
 from modgate.policy import (
     EVAL_DETERMINISTIC,
     EVAL_STOCHASTIC,
     TRAIN_STOCHASTIC,
     PolicyNet,
-    PolicyState,
     forced_decisions,
 )
 
@@ -33,26 +31,26 @@ def tiny_video():
 class TestJointFeature:
     def test_width_is_feature_width(self):
         net = tiny_net()
-        f = net.extract_joint_feature([np.zeros(8), np.zeros(6)])
-        assert f.shape == (6,)
+        f = net.extract_joint_feature([np.zeros((1, 8)), np.zeros((1, 6))])
+        assert f.shape == (1, 6)
 
     def test_zero_weights_give_zero_feature(self):
         net = tiny_net()
         for name, p in net.params.items():
             if name.startswith("policy.extractor"):
                 p.values = np.zeros_like(p.values)
-        f = net.extract_joint_feature([np.ones(8), np.ones(6)])
-        np.testing.assert_array_equal(f.values, np.zeros(6))
+        f = net.extract_joint_feature([np.ones((1, 8)), np.ones((1, 6))])
+        np.testing.assert_array_equal(f.values, np.zeros((1, 6)))
 
     def test_wrong_view_count_raises(self):
         with pytest.raises(ContractError):
-            tiny_net().extract_joint_feature([np.zeros(8)])
+            tiny_net().extract_joint_feature([np.zeros((1, 8))])
 
     def test_gradients_reach_extractor_weights(self):
         net = tiny_net()
         W = net.params["policy.extractor.mod0.W"]
         rng = np.random.default_rng(4)
-        views = [rng.normal(size=8), rng.normal(size=6)]
+        views = [rng.normal(size=(1, 8)), rng.normal(size=(1, 6))]
 
         def f(_):
             out = net.extract_joint_feature(views)
@@ -67,35 +65,36 @@ class TestLstmStep:
         net = tiny_net()
         for name in ("policy.lstm.Wx", "policy.lstm.Wh", "policy.lstm.b"):
             net.params[name].values = np.zeros_like(net.params[name].values)
-        state = net.lstm_step(ad.constant(np.ones(6)), net.initial_state())
-        np.testing.assert_array_equal(state.h.values, np.zeros(5))
-        np.testing.assert_array_equal(state.o.values, np.zeros(5))
+        h = net.lstm_step(ad.constant(np.ones((3, 6))))
+        np.testing.assert_array_equal(h.values, np.zeros((3, 5)))
 
     def test_high_forget_bias_preserves_cell(self):
+        """The first row writes the cell; with zero input after it, the hidden
+        rows ``o * tanh(c)`` (o fixed at 1/2) stay where the first one put them."""
         net = tiny_net()
         H = net.n_hidden
-        net.params["policy.lstm.Wx"].values = np.zeros_like(net.params["policy.lstm.Wx"].values)
+        rng = np.random.default_rng(8)
+        Wx = np.zeros_like(net.params["policy.lstm.Wx"].values)
+        Wx[2 * H : 3 * H] = rng.uniform(-1, 1, (H, 6))  # the input reaches the g gate only
+        net.params["policy.lstm.Wx"].values = Wx
         net.params["policy.lstm.Wh"].values = np.zeros_like(net.params["policy.lstm.Wh"].values)
         bias = np.zeros(4 * H)
         bias[H : 2 * H] = 10.0
         net.params["policy.lstm.b"].values = bias
-        rng = np.random.default_rng(8)
-        prev = PolicyState(
-            h=ad.constant(rng.uniform(-1, 1, H)), o=ad.constant(rng.uniform(-1, 1, H))
-        )
-        state = net.lstm_step(ad.constant(np.zeros(6)), prev)
-        assert np.max(np.abs(state.o.values - prev.o.values)) <= 1e-4
+        feature = np.zeros((3, 6))
+        feature[0] = rng.normal(size=6)
+        h = net.lstm_step(ad.constant(feature)).values
+        assert np.any(h[0] != 0.0)
+        assert np.max(np.abs(h[1:] - h[0])) <= 1e-4
 
     def test_three_step_chain_gradient(self):
         net = tiny_net()
         rng = np.random.default_rng(12)
-        feats = [rng.normal(size=6) for _ in range(3)]
+        feats = rng.normal(size=(3, 6))
 
         def f(_):
-            state = net.initial_state()
-            for x in feats:
-                state = net.lstm_step(ad.constant(x), state)
-            return ad.reduce_sum(ad.multiply(state.h, state.h))
+            last = net.lstm_step(ad.constant(feats))[2]
+            return ad.reduce_sum(ad.multiply(last, last))
 
         rep = ad.grad_check(f, net.params["policy.lstm.Wh"], tol=1e-4)
         assert rep.passed, rep.max_rel_error
@@ -104,15 +103,15 @@ class TestLstmStep:
 class TestDecisionHeads:
     def test_one_score_row_per_modality(self):
         net = tiny_net()
-        heads = net.decision_heads(ad.constant(np.zeros(5)))
+        heads = net.decision_heads(ad.constant(np.zeros((1, 5))))
         assert len(heads) == 2
-        assert all(h.shape == (2,) for h in heads)
+        assert all(h.shape == (1, 2) for h in heads)
 
     def test_zero_summary_gives_bias(self):
         net = tiny_net()
         net.params["policy.head1.b"].values = np.array([0.3, -0.2])
-        heads = net.decision_heads(ad.constant(np.zeros(5)))
-        np.testing.assert_array_equal(heads[1].values, [0.3, -0.2])
+        heads = net.decision_heads(ad.constant(np.zeros((1, 5))))
+        np.testing.assert_array_equal(heads[1].values, [[0.3, -0.2]])
 
     def test_initial_bias_is_zero(self):
         net = tiny_net()
@@ -125,7 +124,6 @@ class TestRollout:
         dm = tiny_net().rollout(tiny_video(), mode=EVAL_DETERMINISTIC)
         assert dm.U.shape == (5, 2)
         assert dm.P.shape == (5, 2, 2)
-        assert dm.logits.shape == (5, 2, 2)
         assert dm.carriers is None
 
     def test_probability_rows_sum_to_one(self):
@@ -200,7 +198,7 @@ class TestRollout:
             tampered.policy_views[k][3:] += 100.0
         after = net.rollout(tampered, mode=EVAL_DETERMINISTIC)
         np.testing.assert_array_equal(base.U[:3], after.U[:3])
-        np.testing.assert_array_equal(base.logits[:3], after.logits[:3])
+        np.testing.assert_array_equal(base.P[:3], after.P[:3])
 
     def test_carrier_gradients_reach_every_policy_group_and_no_recognition(self):
         net = tiny_net()
